@@ -98,15 +98,14 @@ class BenchOptions:
     #: progress-off records stay comparable (the bench-guard suite
     #: verifies the overhead stays inside the slowdown threshold).
     progress: bool = False
-    #: Run sweep points under :class:`SupervisedExecutor` (per-point
-    #: deadlines, retry, crash isolation).  Like ``progress``, NOT part
-    #: of the comparability fingerprint: supervision observes and
-    #: restarts the same deterministic points, so a supervised record
-    #: must reproduce the unsupervised metrics digest bit-for-bit and
-    #: stay inside the slowdown threshold against the committed
-    #: trajectory — that identity is exactly what the bench guard
-    #: asserts.
-    supervised: bool = False
+    #: Retry budget per sweep point; above 0, points run in supervised
+    #: worker processes.  Like ``progress``, NOT part of the
+    #: comparability fingerprint: supervision restarts the same
+    #: deterministic points, so such a record must reproduce the
+    #: unsupervised metrics digest bit-for-bit and stay inside the
+    #: slowdown threshold against the committed trajectory — that
+    #: identity is exactly what the bench guard asserts.
+    max_retries: int = 0
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -151,7 +150,6 @@ def capture_environment(options: BenchOptions) -> Dict[str, Any]:
         "scale": options.scale,
         "seed": options.seed,
         "fastpath": options.fastpath,
-        "supervised": options.supervised,
     }
 
 

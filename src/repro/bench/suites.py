@@ -68,7 +68,7 @@ def _run_fig2(options: BenchOptions) -> SuiteResult:
         progress = SweepProgress()
     executor = make_executor(jobs=options.jobs, cache_dir=options.cache_dir,
                              on_event=progress,
-                             supervised=options.supervised)
+                             max_retries=options.max_retries)
     config = RunConfig(seed=options.seed,
                        fastpath=parse_fastpath_mode(options.fastpath))
     figure = figure2(config=config, scale=options.scale, executor=executor)
@@ -89,7 +89,7 @@ def _run_fig2(options: BenchOptions) -> SuiteResult:
             "series": [sweep.system_name for sweep in figure.sweeps],
             "points_cached": stats.points_cached,
             "fastpath": options.fastpath,
-            "supervised": options.supervised,
+            "max_retries": options.max_retries,
             "points_retried": stats.points_retried,
             "provenance": _provenance_counts(all_metrics),
             **detail_progress,

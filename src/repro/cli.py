@@ -19,7 +19,7 @@ terminal::
     repro race --inject        # self-test on a planted race
     repro fig2 --progress --cache-dir d   # stream per-point progress
     repro watch --cache-dir d  # live scoreboard of that sweep
-    repro fig2 --supervised --point-timeout 120   # crash-safe workers
+    repro fig2 --max-retries 2 --point-timeout 120   # crash-safe workers
     repro fig2 --cache-dir d --resume     # finish an interrupted sweep
 """
 
@@ -58,7 +58,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.fastpath import parse_fastpath_mode
-from repro.experiments.harness import RunConfig, run_point
+from repro.experiments.harness import RunConfig
 from repro.faults.plan import parse_fault_spec
 from repro.experiments.report import (
     render_executor_stats,
@@ -121,27 +121,22 @@ def _build_parser() -> argparse.ArgumentParser:
                  "cache-hit/failed) as the sweep runs; with --cache-dir, "
                  "also write a progress.jsonl ledger 'repro watch' tails")
         cmd_parser.add_argument(
-            "--supervised", action="store_true",
-            help="run points in crash-isolated worker processes with a "
-                 "watchdog and bounded-backoff retries (results stay "
-                 "bit-identical; one poisoned point degrades to a "
-                 "recorded failure instead of aborting the sweep)")
-        cmd_parser.add_argument(
             "--point-timeout", type=float, default=None, metavar="SEC",
             dest="point_timeout",
-            help="per-point wall-clock deadline; a hung worker is "
-                 "killed and the point retried (implies --supervised)")
+            help="per-point wall-clock deadline; points run in worker "
+                 "processes and a hung worker is killed")
         cmd_parser.add_argument(
-            "--max-retries", type=int, default=None, metavar="N",
+            "--max-retries", type=int, default=0, metavar="N",
             dest="max_retries",
-            help="extra attempts after a point's first failure "
-                 "(default: 2; implies --supervised)")
+            help="extra attempts after a point's first failure (crash, "
+                 "timeout, or exception); points run in worker "
+                 "processes (default: 0; results stay bit-identical)")
         cmd_parser.add_argument(
             "--resume", action="store_true",
             help="resume an interrupted sweep: serve points already "
                  "settled in the result cache or the progress.jsonl "
                  "ledger, re-execute only the remainder (requires "
-                 "--cache-dir; implies --supervised)")
+                 "--cache-dir)")
 
     for fig_id, description in _FIGURE_DESCRIPTIONS.items():
         fig_parser = sub.add_parser(fig_id, help=description)
@@ -294,8 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figure(fig_id: str, scale: float, seed: int,
-                executor: Optional[SweepExecutor] = None,
-                fastpath: str = "off") -> None:
+                executor: SweepExecutor, fastpath: str = "off") -> None:
     # The one sanctioned wall-clock site: operator-facing elapsed-time
     # reporting, which never feeds simulated state or cached results.
     start = time.perf_counter()  # repro: allow[wall-clock]
@@ -303,8 +297,7 @@ def _run_figure(fig_id: str, scale: float, seed: int,
     figure = ALL_FIGURES[fig_id](config=config, scale=scale,
                                  executor=executor)
     print(render_figure(figure))
-    if executor is not None:
-        print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    print(render_executor_stats(executor.stats, jobs=executor.jobs))
     elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
     print(f"[{fig_id} regenerated in {elapsed:.1f}s]")
 
@@ -333,13 +326,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _apply_sanitize_flag(args)
     start = time.perf_counter()  # repro: allow[wall-clock]
     try:
-        if executor is None:
-            metrics = run_point(factory, args.rate, distribution, config)
-        else:
-            metrics = executor.run_point(PointSpec(
-                factory=factory, rate_rps=args.rate,
-                distribution=distribution, config=config,
-                label=args.system))
+        metrics = executor.run_point(PointSpec(
+            factory=factory, rate_rps=args.rate,
+            distribution=distribution, config=config, label=args.system))
     finally:
         if ledger is not None:
             ledger.write_done()
@@ -378,8 +367,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"stale fallbacks {faults.stale_fallbacks}")
         print(f"  goodput     {faults.goodput_rps / 1e3:.1f}k RPS "
               f"(unassisted completions)")
-    if executor is not None:
-        print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    print(render_executor_stats(executor.stats, jobs=executor.jobs))
     print(f"[{args.system} point in {elapsed:.1f}s]")
     return 0
 
@@ -410,7 +398,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                            jobs=args.jobs, cache_dir=args.cache_dir,
                            fastpath=args.fastpath,
                            progress=getattr(args, "progress", False),
-                           supervised=getattr(args, "supervised", False))
+                           max_retries=args.max_retries)
     run = record_suite(args.suite, options, artifact_dir=args.artifact_dir)
     record = run.record
     print(f"bench {record.name}: {record.points} points, "
@@ -431,65 +419,49 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _make_executor(args: argparse.Namespace,
-                   ) -> Tuple[Optional[SweepExecutor],
-                              Optional["ProgressLedger"]]:
+                   ) -> Tuple[SweepExecutor, Optional["ProgressLedger"]]:
     """The executor (and progress ledger) the flags ask for.
 
-    Without ``--progress`` this is the historical behavior: an executor
-    only when ``--jobs``/``--cache-dir`` demand one, else ``(None,
-    None)`` for the plain serial path.  ``--progress`` always forces an
-    executor so every point flows through the event stream, attaches a
-    console printer, and — when a cache directory exists to anchor it —
-    opens the ``progress.jsonl`` ledger that ``repro watch`` tails.
-    The caller owns the returned ledger and must ``write_done()`` it
-    when the sweep finishes.
+    ``--progress`` attaches a console printer and — when a cache
+    directory exists to anchor it — opens the ``progress.jsonl`` ledger
+    that ``repro watch`` tails.  ``--resume`` replays that ledger as a
+    lookup source and keeps appending to it.  The caller owns the
+    returned ledger and must ``write_done()`` it when the sweep
+    finishes.
     """
-    jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache_dir", None)
     progress = getattr(args, "progress", False)
     resume = getattr(args, "resume", False)
-    point_timeout = getattr(args, "point_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    supervised = (getattr(args, "supervised", False) or resume
-                  or point_timeout is not None or max_retries is not None)
     if resume and cache_dir is None:
         raise ExperimentError("--resume requires --cache-dir (the cache "
                               "and its progress ledger are the "
                               "checkpoint being resumed)")
+    from repro.experiments.progress import (
+        ConsoleProgress,
+        ProgressLedger,
+        clear_ledger,
+        ledger_path,
+        multiplex,
+    )
     resume_replay = None
     if resume:
-        from repro.experiments.progress import ProgressLedger, ledger_path
         resume_replay = ProgressLedger.replay(ledger_path(cache_dir))
         print(f"[resume: {len(resume_replay.completed)} point(s) settled "
               f"by the previous run"
               + ("" if resume_replay.finished
                  else " (interrupted: no done sentinel)") + "]")
-    if not progress and not resume:
-        if jobs <= 1 and cache_dir is None and not supervised:
-            return None, None
-        return make_executor(jobs=jobs, cache_dir=cache_dir,
-                             supervised=supervised,
-                             point_timeout_s=point_timeout,
-                             max_retries=max_retries), None
-    from repro.experiments.progress import (
-        ConsoleProgress,
-        ProgressLedger,
-        clear_ledger,
-        multiplex,
-    )
     ledger = None
-    if cache_dir is not None:
+    if cache_dir is not None and (progress or resume):
         if not resume:
             clear_ledger(cache_dir)  # stale ledgers would confuse watchers
         # A resumed sweep appends to the existing ledger (its replay is
         # already in hand), so a second interruption still resumes.
         ledger = ProgressLedger.in_cache_dir(cache_dir)
     console = ConsoleProgress() if progress else None
-    on_event = multiplex(console, ledger)
-    return make_executor(jobs=jobs, cache_dir=cache_dir,
-                         on_event=on_event, supervised=supervised,
-                         point_timeout_s=point_timeout,
-                         max_retries=max_retries,
+    return make_executor(jobs=getattr(args, "jobs", 1), cache_dir=cache_dir,
+                         on_event=multiplex(console, ledger),
+                         point_timeout_s=getattr(args, "point_timeout", None),
+                         max_retries=getattr(args, "max_retries", 0),
                          resume_from=resume_replay), ledger
 
 

@@ -88,8 +88,7 @@ class SweepPointError(ExperimentError):
     the original spec in hand: the system label, the offered rate, the
     run config, how many attempts were made, and the underlying cause.
     ``kind`` is the failure-taxonomy tag — one of ``"crash"``,
-    ``"timeout"``, ``"exception"``, or ``"cache-corruption"`` — matched
-    by the subclasses below.
+    ``"timeout"``, or ``"exception"`` — matched by the subclasses below.
     """
 
     #: Taxonomy tag; subclasses override.
@@ -126,17 +125,6 @@ class PointExecutionError(SweepPointError):
     """The point's own code raised while simulating."""
 
     kind = "exception"
-
-
-class CacheCorruptionError(SweepPointError):
-    """A cached result entry was corrupt (torn, truncated, bit-flipped).
-
-    Raised only by a strict-mode :class:`~repro.experiments.executor.
-    ResultCache`; the default cache quarantines the entry and reads it
-    as a miss instead, so sweeps recompute transparently.
-    """
-
-    kind = "cache-corruption"
 
 
 class SweepFailure(ExperimentError):

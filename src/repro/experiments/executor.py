@@ -1,37 +1,57 @@
-"""Pluggable sweep execution: serial, process-parallel, and cached.
+"""Sweep execution: one executor, in process or in worker processes, cached.
 
 Every figure and study in this repro bottoms out in ``run_point`` calls
 that each build a fresh, independently seeded :class:`Simulator` — so
 points are embarrassingly parallel, and identical inputs always produce
 identical :class:`RunMetrics`.  This module exploits both facts:
 
-- :class:`SerialExecutor` runs points in-process, in order (the
-  historical behavior and the default everywhere);
-- :class:`ParallelExecutor` fans points out across worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor`, returning results in
-  submission order regardless of completion order;
+- :class:`SweepExecutor` runs a batch of points.  With ``jobs=1``, no
+  per-point deadline and no retries, points run in this process, in
+  order.  Otherwise they run in at most ``jobs`` worker processes,
+  forked at the start of each batch; each worker runs many points, and
+  the parent kills and replaces a worker only when it crashes or passes
+  its per-point deadline.  Failed attempts retry with bounded
+  exponential backoff.
 - :class:`ResultCache` is an on-disk content-addressed store keyed by a
   stable SHA-256 over (system name, factory fingerprint, offered rate,
   distribution parameters, :class:`RunConfig`), so re-running a figure
   or resuming an interrupted sweep skips already-measured points.
+- ``resume_from`` (a replayed :class:`~repro.experiments.progress.
+  LedgerReplay`) serves points an interrupted run already settled,
+  repairing missing or quarantined cache entries from the ledger.
+
+Failures follow one model wherever points run: a point whose every
+attempt fails becomes a typed :class:`~repro.errors.SweepPointError`
+(crash / timeout / exception) and a ``failed`` progress event; every
+other point still runs and lands in the cache; then
+:class:`~repro.errors.SweepFailure` reports the casualties.
+``BaseException`` interrupts such as Ctrl-C abort at once.
 
 Determinism is the contract that makes all of this safe; the
 differential suite in ``tests/integration/test_executor_equivalence.py``
-enforces bit-identical serial/parallel/cached results for every system.
+enforces bit-identical in-process/worker/cached results for every
+system.  Every wall-clock read below times the *host* (deadlines,
+backoff); nothing it produces feeds simulated state or cached results.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import collections
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
+import signal
 import tempfile
+import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -44,17 +64,13 @@ from typing import (
 )
 
 from repro.errors import (
-    CacheCorruptionError,
     ConfigError,
     ExperimentError,
     PointCrashError,
     PointExecutionError,
+    PointTimeoutError,
+    SweepFailure,
     SweepPointError,
-)
-from repro.experiments.harness import (
-    RunConfig,
-    SystemFactory,
-    run_point_with_events,
 )
 from repro.experiments.progress import (
     CACHE_HIT,
@@ -73,6 +89,10 @@ from repro.metrics.summary import (
 )
 from repro.systems import registry
 from repro.workload.distributions import ServiceTimeDistribution
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.experiments.harness import RunConfig, SystemFactory
+    from repro.experiments.progress import LedgerReplay
 
 #: Bump when the cache key payload or the stored schema changes shape;
 #: old entries then simply miss instead of deserializing wrongly.
@@ -112,9 +132,8 @@ class ConfiguredFactory:
 
     All served systems share the ``(sim, rngs, metrics, config=...)``
     constructor shape, so a (class, config) pair is a complete recipe.
-    Classes pickle by reference and configs are plain dataclasses, which
-    is what lets :class:`ParallelExecutor` ship these to workers; the
-    deterministic dataclass ``repr`` of the config is what lets the
+    Classes pickle by reference and configs are plain dataclasses, and
+    the deterministic dataclass ``repr`` of the config is what lets the
     cache fingerprint them.
 
     ``system`` may also be a registry name (see :meth:`by_name`); the
@@ -294,16 +313,13 @@ class ResultCache:
     recomputes the point transparently instead of crashing on (or
     silently trusting) damaged bytes.  Entries from an older schema
     read as plain misses without quarantine — they are honest
-    old-format files, not corruption.  ``strict=True`` raises
-    :class:`~repro.errors.CacheCorruptionError` instead of
-    quarantining (for tools that want to fail loudly).
+    old-format files, not corruption.
     """
 
-    def __init__(self, root: Union[str, Path], strict: bool = False):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.strict = strict
         #: Every corrupt entry this instance has quarantined, in
-        #: detection order (the supervised executor reports these).
+        #: detection order (the executor reports these).
         self.quarantine_log: List[QuarantineRecord] = []
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -322,11 +338,7 @@ class ResultCache:
         return self.root / QUARANTINE_DIRNAME
 
     def _quarantine(self, path: Path, key: str, reason: str) -> None:
-        """Move the corrupt entry at *path* aside (or raise in strict
-        mode) and log the incident."""
-        if self.strict:
-            raise CacheCorruptionError(
-                f"cache entry {path} is corrupt: {reason}", label=key)
+        """Move the corrupt entry at *path* aside and log the incident."""
         destination: Optional[Path] = None
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -416,8 +428,31 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Executors
+# Executor
 # ---------------------------------------------------------------------------
+
+#: Backoff schedule before retry *n*: base * factor**(n-1), capped.
+DEFAULT_BACKOFF_BASE_S = 0.05
+DEFAULT_BACKOFF_FACTOR = 2.0
+DEFAULT_BACKOFF_MAX_S = 2.0
+#: How long to wait for a finished or killed worker to be reaped.
+_REAP_TIMEOUT_S = 5.0
+
+
+def backoff_delay(attempt: int, base_s: float = DEFAULT_BACKOFF_BASE_S,
+                  factor: float = DEFAULT_BACKOFF_FACTOR,
+                  max_s: float = DEFAULT_BACKOFF_MAX_S) -> float:
+    """Seconds to wait before retry number *attempt* (1-based).
+
+    Bounded exponential: ``min(max_s, base_s * factor**(attempt-1))``.
+    Deterministic on purpose — no jitter — so test runs are exactly
+    reproducible; sweep points are independent, so synchronized retries
+    cannot contend with each other the way RPC storms do.
+    """
+    if attempt < 1:
+        raise ExperimentError(f"attempt must be >= 1: {attempt}")
+    return min(max_s, base_s * (factor ** (attempt - 1)))
+
 
 @dataclass
 class ExecutorStats:
@@ -433,7 +468,7 @@ class ExecutorStats:
     events_executed: int = 0
     #: Points that permanently failed (every attempt exhausted).
     points_failed: int = 0
-    #: Extra attempts made beyond each point's first (supervised runs).
+    #: Extra attempts made beyond each point's first.
     points_retried: int = 0
     #: Points served from a previous run's progress ledger (--resume).
     points_resumed: int = 0
@@ -453,44 +488,144 @@ class ExecutorStats:
 
 
 def _execute_spec(spec: PointSpec) -> Tuple[RunMetrics, int]:
-    """Worker entry point: run one spec, return (metrics, events)."""
-    return run_point_with_events(spec.factory, spec.rate_rps,
-                                 spec.distribution, spec.config)
+    """Run one spec, returning (metrics, events).
+
+    Calls ``run_point_with_events`` through the harness module's global
+    (imported here, since the harness builds on this module), so a
+    wrapper installed there also runs inside worker processes.
+    """
+    from repro.experiments import harness
+    return harness.run_point_with_events(spec.factory, spec.rate_rps,
+                                         spec.distribution, spec.config)
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """*exc* if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+def _worker_main(specs: Sequence[PointSpec], conn) -> None:
+    """Worker-process loop: run each spec index the parent sends.
+
+    The worker is forked, so it inherits *specs* (picklable or not) and
+    receives only indices.  It replies ``("ok", metrics, events)`` or
+    ``("error", cause, message, traceback)``, and returns on ``None``
+    or when the parent's end closes.  A crash (SIGKILL, segfault, OOM)
+    replies nothing; the parent sees the pipe drop and classifies the
+    point from the exit code.
+    """
+    # Ctrl-C reaches the whole process group; the parent alone handles
+    # it, by killing every worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        if index is None:
+            return
+        try:
+            metrics, events = _execute_spec(specs[index])
+        except Exception as exc:
+            conn.send(("error", _portable(exc),
+                       f"{type(exc).__name__}: {exc}",
+                       traceback.format_exc()))
+            continue
+        conn.send(("ok", metrics, events))
+
+
+@dataclass
+class _Attempt:
+    """One scheduled (or running) execution attempt of one spec."""
+
+    index: int
+    attempt: int
+    #: Wall-clock instant before which this attempt must not start
+    #: (backoff); 0.0 starts immediately.
+    not_before: float = 0.0
+
+
+@dataclass
+class _Worker:
+    """Bookkeeping for one live worker process."""
+
+    process: "multiprocessing.process.BaseProcess"
+    conn: "multiprocessing.connection.Connection"
+    #: The attempt the worker is running; None while idle.
+    task: Optional[_Attempt] = None
+    #: Wall-clock kill deadline of that attempt (None = no deadline).
+    kill_after: Optional[float] = None
 
 
 class SweepExecutor:
-    """Base executor: cache orchestration plus in-process execution.
+    """Runs batches of points: cache, resume, and where points execute.
 
-    Subclasses override :meth:`_run_specs` to change *where* cache
-    misses run; ordering and cache semantics live here so every
-    executor shares them exactly.  So does progress: every executor
-    emits one typed :class:`~repro.experiments.progress.PointEvent`
-    stream — started / completed / cache-hit / failed, completions
-    carrying the point's :class:`RunMetrics` — from *this* process,
-    even when the points themselves ran in workers.
+    Cached points (and, with ``resume_from``, points a replayed progress
+    ledger settled) are served without simulating; the rest run in this
+    process when ``jobs == 1``, no ``point_timeout_s`` is set and
+    ``max_retries == 0``, and otherwise in at most ``jobs`` worker
+    processes (see the module docstring).  A worker that dies without a
+    result is a *crash*, one that outlives ``point_timeout_s`` on a
+    point is killed as a *timeout*, and an exception inside the point
+    is an *exception*; each retries up to ``max_retries`` times.
+
+    Every executor emits one typed
+    :class:`~repro.experiments.progress.PointEvent` stream — started /
+    completed / cache-hit / failed, completions carrying the point's
+    :class:`RunMetrics` — from *this* process, even when the points
+    themselves ran in workers.  Results are bit-identical wherever
+    points run: they are independent and slot into the result list by
+    index, so neither completion order, retries, nor resume can move a
+    single measured bit.
     """
 
-    #: Worker parallelism (1 for serial; informational for reporting).
-    jobs: int = 1
-
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 on_event: Optional[ProgressCallback] = None):
+    def __init__(self, jobs: int = 1,
+                 cache: Optional[ResultCache] = None,
+                 on_event: Optional[ProgressCallback] = None,
+                 point_timeout_s: Optional[float] = None,
+                 max_retries: int = 0,
+                 resume_from: Optional["LedgerReplay"] = None):
+        if jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1: {jobs}")
+        if point_timeout_s is not None and point_timeout_s <= 0:
+            raise ExperimentError(
+                f"point timeout must be positive: {point_timeout_s}")
+        if max_retries < 0:
+            raise ExperimentError(f"max retries must be >= 0: {max_retries}")
+        self.jobs = jobs
         self.cache = cache
-        self.stats = ExecutorStats()
         #: Persistent progress subscriber (every ``run_points`` call).
         self.on_event = on_event
+        self.point_timeout_s = point_timeout_s
+        self.max_retries = max_retries
+        self.resume_from = resume_from
+        self.stats = ExecutorStats()
         self._seq = 0
         self._batches = 0
+        #: Injectable for tests; host-side pacing only.
+        self._sleep: Callable[[float], None] = time.sleep
+
+    @property
+    def in_process(self) -> bool:
+        """Do points run in this process (nothing to isolate)?"""
+        return (self.jobs == 1 and self.point_timeout_s is None
+                and self.max_retries == 0)
 
     def run_points(self, specs: Sequence[PointSpec],
                    on_event: Optional[ProgressCallback] = None,
                    ) -> List[RunMetrics]:
         """Run every spec, returning metrics in the order given.
 
-        Cached points are served without simulating; the rest run via
-        :meth:`_run_specs`.  Each fresh point is written back to the
-        cache the moment it completes — not at the end of the batch —
-        so an interrupted sweep resumes from every finished point.
+        Cached (or resumed) points are served without simulating; the
+        rest run in this process or in workers.  Each fresh point is
+        written back to the cache the moment it completes — not at the
+        end of the batch — so an interrupted sweep resumes from every
+        finished point.  If any point permanently fails, the rest still
+        run before :class:`~repro.errors.SweepFailure` raises.
 
         *on_event* subscribes to this batch's progress stream on top of
         the executor-wide :attr:`on_event`; both see every event.
@@ -524,10 +659,15 @@ class SweepExecutor:
             key = spec_cache_key(spec) if self.cache is not None else None
             keys[i] = key
             hit = self.cache.get(key) if key is not None else None
-            if hit is None:
-                hit = self._lookup_resume(spec, key)
+            if hit is None and self.resume_from is not None:
+                # Only consulted on a cache miss, so a healthy cache
+                # entry always wins; the ledger covers uncacheable
+                # specs, lost entries, and quarantined corruption.
+                hit = self.resume_from.lookup(spec.label, spec.rate_rps)
                 if hit is not None:
                     self.stats.points_resumed += 1
+                    if key is not None:
+                        self.cache.put(key, hit)
             if hit is not None:
                 results[i] = hit
                 self.stats.points_cached += 1
@@ -538,221 +678,227 @@ class SweepExecutor:
             self.stats.points_quarantined += \
                 len(self.cache.quarantine_log) - quarantined_before
 
+        failures: List[SweepPointError] = []
+
         def record(batch_index: int, outcome: Tuple[RunMetrics, int]) -> None:
             i = misses[batch_index]
             metrics, events = outcome
             results[i] = metrics
             self.stats.points_run += 1
             self.stats.events_executed += events
-            if self.cache is not None and keys[i] is not None:
+            if keys[i] is not None:
                 self.cache.put(keys[i], metrics)
             emit(COMPLETED, i, metrics=metrics)
 
         def started(batch_index: int) -> None:
             emit(STARTED, misses[batch_index])
 
-        def failed(batch_index: int, error: BaseException) -> None:
-            # Typed SweepPointErrors carry their attempt count into the
-            # event stream; raw exceptions report 0 ("not tracked").
+        def failed(batch_index: int, error: SweepPointError) -> None:
+            failures.append(error)
+            self.stats.points_failed += 1
             emit(FAILED, misses[batch_index], error=str(error),
-                 attempts=getattr(error, "attempts", 0))
+                 attempts=error.attempts)
 
         if misses:
-            self._run_specs([specs[i] for i in misses], record,
-                            started=started, failed=failed)
-        return [result for result in results if result is not None]
+            run = (self._run_in_process if self.in_process
+                   else self._run_in_workers)
+            run([specs[i] for i in misses], record, started, failed)
+        if failures:
+            raise SweepFailure(failures)
+        return results
 
     def run_point(self, spec: PointSpec) -> RunMetrics:
         """Convenience wrapper for a single point."""
         return self.run_points([spec])[0]
 
-    def _lookup_resume(self, spec: PointSpec,
-                       key: Optional[str]) -> Optional[RunMetrics]:
-        """A completed result for *spec* from a previous interrupted run.
+    @staticmethod
+    def _now() -> float:
+        """Host wall clock for deadlines/backoff (never simulated time)."""
+        return time.monotonic()  # repro: allow[wall-clock]
 
-        The base executor has no resume source; the supervised executor
-        overrides this to serve points out of a replayed progress
-        ledger (and repair the cache entry under *key* while at it).
-        """
-        return None
-
-    def _run_specs(self, specs: Sequence[PointSpec],
-                   record: Callable[[int, Tuple[RunMetrics, int]], None],
-                   started: Optional[Callable[[int], None]] = None,
-                   failed: Optional[Callable[[int, BaseException], None]] = None,
-                   ) -> None:
-        """Run *specs*, reporting each ``(index, outcome)`` as it lands.
-
-        *started* fires when a spec is handed off for execution and
-        *failed* when its run raises (the exception still propagates).
-        """
+    def _run_in_process(self, specs: Sequence[PointSpec],
+                        record: Callable[[int, Tuple[RunMetrics, int]], None],
+                        started: Callable[[int], None],
+                        failed: Callable[[int, SweepPointError], None],
+                        ) -> None:
+        """Run *specs* here, in order; a raising point fails alone."""
         for j, spec in enumerate(specs):
-            if started is not None:
-                started(j)
+            started(j)
             try:
                 outcome = _execute_spec(spec)
             except Exception as exc:
-                if failed is not None:
-                    failed(j, exc)
-                raise
+                error = _point_error(
+                    PointExecutionError, spec, 1,
+                    f"{type(exc).__name__}: {exc}", cause=exc)
+                error.worker_traceback = traceback.format_exc()
+                failed(j, error)
+                continue
             record(j, outcome)
 
+    def _run_in_workers(self, specs: Sequence[PointSpec],
+                        record: Callable[[int, Tuple[RunMetrics, int]], None],
+                        started: Callable[[int], None],
+                        failed: Callable[[int, SweepPointError], None],
+                        ) -> None:
+        """Run *specs* in supervised worker processes (see the class
+        docstring)."""
+        context = multiprocessing.get_context("fork")
+        ready = collections.deque(_Attempt(index=j, attempt=1)
+                                  for j in range(len(specs)))
+        delayed: List[_Attempt] = []
+        workers: Dict[Any, _Worker] = {}
 
-class SerialExecutor(SweepExecutor):
-    """The historical behavior: every point in this process, in order."""
+        def spawn() -> _Worker:
+            conn, child_conn = context.Pipe()
+            process = context.Process(target=_worker_main,
+                                      args=(specs, child_conn), daemon=True)
+            process.start()
+            # Close the parent's copy of the worker's end so the pipe
+            # drops — and the watchdog wakes — the instant it dies.
+            child_conn.close()
+            worker = _Worker(process=process, conn=conn)
+            workers[conn] = worker
+            return worker
 
+        def retire(worker: _Worker) -> None:
+            del workers[worker.conn]
+            worker.process.kill()  # a no-op for one already dead
+            worker.process.join(_REAP_TIMEOUT_S)
+            worker.conn.close()
 
-def _wrap_point_failure(spec: PointSpec,
-                        cause: BaseException) -> SweepPointError:
-    """*cause* as a typed :class:`~repro.errors.SweepPointError`.
-
-    Worker-pool breakage (a killed or segfaulted process) classifies as
-    a crash; anything the point's own code raised as an execution
-    error.  Already-typed errors pass through untouched.
-    """
-    if isinstance(cause, SweepPointError):
-        return cause
-    crashed = isinstance(cause, concurrent.futures.process.BrokenProcessPool)
-    cls = PointCrashError if crashed else PointExecutionError
-    return cls(str(cause) or type(cause).__name__, label=spec.label,
-               rate_rps=spec.rate_rps, attempts=1, config=spec.config,
-               cause=cause)
-
-
-class ParallelExecutor(SweepExecutor):
-    """Fan points across worker processes; results stay in spec order.
-
-    Specs that cannot be pickled (closure factories, ad-hoc callables)
-    transparently run in the parent process instead — parallelism is an
-    optimization, never a constraint on what callers may pass.
-
-    A point whose run raises no longer tears down the whole batch: the
-    failure is wrapped in a typed :class:`~repro.errors.SweepPointError`
-    (system label, point config, attempt count, cause), emitted as a
-    ``failed`` progress event, and every *other* point still completes
-    and lands in the cache before the first failure is re-raised — so
-    a re-run pays only for the failed point.  (KeyboardInterrupt and
-    other non-``Exception`` interrupts still abort immediately.)
-    """
-
-    def __init__(self, jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 on_event: Optional[ProgressCallback] = None):
-        super().__init__(cache=cache, on_event=on_event)
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1: {jobs}")
-        self.jobs = jobs
-
-    @staticmethod
-    def _picklable(spec: PointSpec) -> bool:
-        try:
-            pickle.dumps(spec)
-            return True
-        except Exception:
-            return False
-
-    def _run_specs(self, specs: Sequence[PointSpec],
-                   record: Callable[[int, Tuple[RunMetrics, int]], None],
-                   started: Optional[Callable[[int], None]] = None,
-                   failed: Optional[Callable[[int, BaseException], None]] = None,
-                   ) -> None:
-        remote = [i for i, spec in enumerate(specs) if self._picklable(spec)]
-        failures: List[SweepPointError] = []
-
-        def fail(i: int, cause: BaseException) -> None:
-            error = _wrap_point_failure(specs[i], cause)
-            failures.append(error)
-            self.stats.points_failed += 1
-            if failed is not None:
-                failed(i, error)
-
-        def run_local(i: int) -> None:
-            if started is not None:
-                started(i)
-            try:
-                outcome = _execute_spec(specs[i])
-            except Exception as exc:
-                fail(i, exc)
+        def attempt_failed(task: _Attempt, kind: Type[SweepPointError],
+                           message: str, cause: Optional[BaseException] = None,
+                           worker_traceback: Optional[str] = None) -> None:
+            if task.attempt <= self.max_retries:
+                self.stats.points_retried += 1
+                delayed.append(_Attempt(
+                    index=task.index, attempt=task.attempt + 1,
+                    not_before=self._now() + backoff_delay(task.attempt)))
                 return
-            record(i, outcome)
+            error = _point_error(kind, specs[task.index], task.attempt,
+                                 message, cause=cause)
+            error.worker_traceback = worker_traceback
+            failed(task.index, error)
 
-        if len(remote) > 1 and self.jobs > 1:
-            workers = min(self.jobs, len(remote))
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        def dispatch(worker: _Worker, task: _Attempt) -> None:
+            if task.attempt == 1:
+                started(task.index)
+            worker.task = task
+            worker.kill_after = (self._now() + self.point_timeout_s
+                                 if self.point_timeout_s is not None
+                                 else None)
             try:
-                futures = {}
-                for i in remote:
-                    futures[pool.submit(_execute_spec, specs[i])] = i
-                    # Progress events always fire in *this* process —
-                    # the started event marks the handoff to a worker.
-                    if started is not None:
-                        started(i)
-                for future in concurrent.futures.as_completed(futures):
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        # A failed point is recorded, not fatal: the
-                        # remaining futures drain (and cache) first.
-                        fail(futures[future], exc)
-                        continue
-                    record(futures[future], outcome)
-                pool.shutdown(wait=True)
-            except BaseException:
-                # On Ctrl-C (or pool-wide breakage) don't join
-                # interrupted workers — shutdown(wait=True) can hang
-                # forever; drop pending work and surface the interrupt
-                # immediately.  Every completed point has already been
-                # recorded (and cached), so a re-run resumes from them.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        else:
-            for i in remote:
-                run_local(i)
-        # Unpicklable stragglers run in-process, after the fan-out.
-        fanned_out = set(remote)
-        for i in range(len(specs)):
-            if i not in fanned_out:
-                run_local(i)
-        if failures:
-            raise failures[0]
+                worker.conn.send(task.index)
+            except OSError:
+                pass  # the worker is gone; receive() classifies it
+
+        def receive(worker: _Worker) -> None:
+            task = worker.task
+            try:
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                retire(worker)
+                if task is not None:
+                    code = worker.process.exitcode
+                    detail = (f"killed by signal {-code}" if code is not None
+                              and code < 0 else f"exit code {code}")
+                    attempt_failed(
+                        task, PointCrashError,
+                        f"worker process died without a result ({detail})")
+                return
+            worker.task = worker.kill_after = None
+            if ready:
+                # Hand the worker its next point before the bookkeeping
+                # below (cache write, progress events) so it never
+                # waits on them.
+                dispatch(worker, ready.popleft())
+            if message[0] == "ok":
+                _tag, metrics, events = message
+                record(task.index, (metrics, events))
+                return
+            _tag, cause, text, worker_traceback = message
+            attempt_failed(task, PointExecutionError, text, cause=cause,
+                           worker_traceback=worker_traceback)
+
+        try:
+            while ready or delayed or any(w.task is not None
+                                          for w in workers.values()):
+                now = self._now()
+                ready.extend(t for t in delayed if t.not_before <= now)
+                delayed = [t for t in delayed if t.not_before > now]
+                idle = [w for w in workers.values() if w.task is None]
+                while ready and (idle or len(workers) < self.jobs):
+                    dispatch(idle.pop() if idle else spawn(), ready.popleft())
+                busy = [w for w in workers.values() if w.task is not None]
+                if not busy:
+                    # Only backoff-delayed retries remain.
+                    wake = min(t.not_before for t in delayed)
+                    self._sleep(max(0.0, wake - self._now()))
+                    continue
+                horizons = [w.kill_after - now for w in busy
+                            if w.kill_after is not None]
+                horizons.extend(t.not_before - now for t in delayed)
+                timeout = max(0.0, min(horizons)) if horizons else None
+                for conn in multiprocessing.connection.wait(list(workers),
+                                                            timeout=timeout):
+                    if conn in workers:
+                        receive(workers[conn])
+                now = self._now()
+                for worker in [w for w in workers.values()
+                               if w.kill_after is not None
+                               and now >= w.kill_after]:
+                    task = worker.task
+                    retire(worker)
+                    attempt_failed(
+                        task, PointTimeoutError,
+                        f"point exceeded its {self.point_timeout_s:g}s "
+                        f"wall-clock deadline and was killed")
+        except BaseException:
+            # Ctrl-C or an unexpected supervisor bug: never orphan live
+            # workers.  Completed points are already recorded and cached,
+            # so a re-run (or --resume) picks up from them.
+            for worker in list(workers.values()):
+                worker.process.kill()
+                worker.conn.close()
+            raise
+        idle = list(workers.values())
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass
+        for worker in idle:
+            worker.process.join(_REAP_TIMEOUT_S)
+            retire(worker)
+
+
+def _point_error(kind: Type[SweepPointError], spec: PointSpec,
+                 attempts: int, message: str,
+                 cause: Optional[BaseException] = None) -> SweepPointError:
+    """A typed failure of *spec* after *attempts* attempts."""
+    return kind(message, label=spec.label, rate_rps=spec.rate_rps,
+                attempts=attempts, config=spec.config, cause=cause)
+
+
+#: The executor every sweep entry point defaults to: in process, no
+#: cache.  Shared, so successive default sweeps feeding one subscriber
+#: keep distinct ``(batch, index)`` keys.
+IN_PROCESS = SweepExecutor()
 
 
 def make_executor(jobs: int = 1,
                   cache_dir: Optional[Union[str, Path]] = None,
                   on_event: Optional[ProgressCallback] = None,
-                  supervised: bool = False,
                   point_timeout_s: Optional[float] = None,
-                  max_retries: Optional[int] = None,
-                  resume_from: Optional[Any] = None,
+                  max_retries: int = 0,
+                  resume_from: Optional["LedgerReplay"] = None,
                   ) -> SweepExecutor:
-    """Build the executor the CLI/benches ask for.
+    """The executor the CLI/benches ask for.
 
-    ``jobs <= 1`` gives a :class:`SerialExecutor`; more gives a
-    :class:`ParallelExecutor`.  ``cache_dir`` (optional) enables the
-    on-disk result cache in either case, and ``on_event`` (optional)
-    subscribes a progress callback to every sweep the executor runs.
-
-    Any supervision knob — ``supervised``, a per-point wall-clock
-    deadline ``point_timeout_s``, a retry budget ``max_retries``, or a
-    replayed ledger ``resume_from`` — selects the crash-safe
-    :class:`~repro.experiments.supervise.SupervisedExecutor` instead
-    (results stay bit-identical in every case).
+    ``cache_dir`` (optional) enables the on-disk result cache; every
+    other argument passes straight to :class:`SweepExecutor`.
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    if supervised or point_timeout_s is not None \
-            or max_retries is not None or resume_from is not None:
-        from repro.experiments.supervise import (
-            DEFAULT_MAX_RETRIES,
-            SupervisedExecutor,
-        )
-        return SupervisedExecutor(
-            jobs=jobs, cache=cache, on_event=on_event,
-            point_timeout_s=point_timeout_s,
-            max_retries=(DEFAULT_MAX_RETRIES if max_retries is None
-                         else max_retries),
-            resume_from=resume_from)
-    if jobs <= 1:
-        return SerialExecutor(cache=cache, on_event=on_event)
-    return ParallelExecutor(jobs=jobs, cache=cache, on_event=on_event)
+    return SweepExecutor(jobs=jobs, cache=cache, on_event=on_event,
+                         point_timeout_s=point_timeout_s,
+                         max_retries=max_retries, resume_from=resume_from)

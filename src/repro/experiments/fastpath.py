@@ -185,7 +185,7 @@ def short_anchor_config(config: "RunConfig") -> Optional["RunConfig"]:
 def _run_exact(factory: "SystemFactory", rates: Sequence[float],
                distribution: "ServiceTimeDistribution",
                config: "RunConfig", system_name: str,
-               executor: Optional["SweepExecutor"]) -> List[RunMetrics]:
+               executor: "SweepExecutor") -> List[RunMetrics]:
     """Exact runs for *rates* (config must have the fast path stripped)."""
     from repro.experiments.harness import _run_batch
     assert config.fastpath is None
@@ -196,7 +196,7 @@ def _run_exact(factory: "SystemFactory", rates: Sequence[float],
 def _run_jobs(factory: "SystemFactory",
               jobs: Sequence[Tuple[float, "RunConfig"]],
               distribution: "ServiceTimeDistribution", system_name: str,
-              executor: Optional["SweepExecutor"]) -> List[RunMetrics]:
+              executor: "SweepExecutor") -> List[RunMetrics]:
     """Exact runs for mixed (rate, config) jobs, one parallelizable batch.
 
     Anchors, half-scale shorts, and full-horizon knee runs all land in
@@ -204,10 +204,6 @@ def _run_jobs(factory: "SystemFactory",
     """
     for _rate, cfg in jobs:
         assert cfg.fastpath is None
-    if executor is None:
-        from repro.experiments.harness import run_point
-        return [run_point(factory, rate, distribution, cfg)
-                for rate, cfg in jobs]
     from repro.experiments.executor import PointSpec
     specs = [PointSpec(factory=factory, rate_rps=rate,
                        distribution=distribution, config=cfg,
@@ -700,7 +696,7 @@ def run_batch_fastpath(factory: "SystemFactory",
                        rates_rps: Sequence[float],
                        distribution: "ServiceTimeDistribution",
                        config: "RunConfig", system_name: str,
-                       executor: Optional["SweepExecutor"],
+                       executor: "SweepExecutor",
                        ) -> List[RunMetrics]:
     """Batch fast path: calibrate per-system models from exact anchors.
 

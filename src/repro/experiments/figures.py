@@ -21,12 +21,16 @@ from repro.config import (
     ShinjukuConfig,
     ShinjukuOffloadConfig,
 )
-from repro.experiments.executor import ConfiguredFactory, SweepExecutor
+from repro.experiments.executor import (
+    IN_PROCESS,
+    ConfiguredFactory,
+    PointSpec,
+    SweepExecutor,
+)
 from repro.experiments.harness import (
     LoadSweepResult,
     RunConfig,
     load_sweep,
-    measure_capacity,
 )
 from repro.units import us
 from repro.workload.distributions import BIMODAL_FIG2, Fixed
@@ -68,7 +72,7 @@ def _sweep_pair(shinjuku_config: ShinjukuConfig,
                 offload_config: ShinjukuOffloadConfig,
                 distribution, rates: Sequence[float],
                 config: RunConfig,
-                executor: Optional[SweepExecutor] = None,
+                executor: SweepExecutor = IN_PROCESS,
                 on_event: Optional["ProgressCallback"] = None,
                 ) -> Tuple[LoadSweepResult, LoadSweepResult]:
     # By-name factories stay picklable + fingerprintable, so figure
@@ -101,7 +105,7 @@ def _to_figure(figure_id: str, title: str, notes: str,
 
 def figure2(config: Optional[RunConfig] = None, scale: float = 1.0,
             rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
+            executor: SweepExecutor = IN_PROCESS,
             on_event: Optional["ProgressCallback"] = None) -> FigureResult:
     """Tail latency vs throughput for the Figure 2 bimodal workload.
 
@@ -133,7 +137,7 @@ def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
             outstanding: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
             worker_counts: Sequence[int] = (16, 4),
             overload_rps: float = 2.5e6,
-            executor: Optional[SweepExecutor] = None,
+            executor: SweepExecutor = IN_PROCESS,
             on_event: Optional["ProgressCallback"] = None) -> FigureResult:
     """Offload saturation throughput vs outstanding requests per worker.
 
@@ -148,29 +152,19 @@ def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
             ShinjukuOffloadConfig(workers=workers, outstanding_per_worker=k,
                                   preemption=NO_PREEMPTION))
         for workers, k in grid}
-    if executor is None:
-        capacities = {
-            cell: measure_capacity(
-                factories[cell], Fixed(us(1.0)),
-                overload_rps=overload_rps, config=run_config,
-                system_name=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}",
-                on_event=on_event)
-            for cell in grid}
-    else:
-        # One batch for the whole grid, so a parallel executor fans the
-        # cells out instead of seeing seven single-point sweeps.
-        from repro.experiments.executor import PointSpec
-        # The outstanding target joins the label: every grid cell runs
-        # at the same overload rate, and (label, rate) is the identity
-        # checkpoint/resume reconstructs completed points by — two
-        # cells must never alias.
-        specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
-                           distribution=Fixed(us(1.0)), config=run_config,
-                           label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")
-                 for cell in grid]
-        results = executor.run_points(specs, on_event=on_event)
-        capacities = {cell: metrics.throughput.achieved_rps
-                      for cell, metrics in zip(grid, results)}
+    # One batch for the whole grid, so a parallel executor fans the
+    # cells out instead of seeing seven single-point sweeps.
+    # The outstanding target joins the label: every grid cell runs
+    # at the same overload rate, and (label, rate) is the identity
+    # checkpoint/resume reconstructs completed points by — two
+    # cells must never alias.
+    specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
+                       distribution=Fixed(us(1.0)), config=run_config,
+                       label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")
+             for cell in grid]
+    results = executor.run_points(specs, on_event=on_event)
+    capacities = {cell: metrics.throughput.achieved_rps
+                  for cell, metrics in zip(grid, results)}
     series: List[FigureSeries] = []
     for workers in worker_counts:
         series.append(FigureSeries(
@@ -192,7 +186,7 @@ def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
 
 def figure4(config: Optional[RunConfig] = None, scale: float = 1.0,
             rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
+            executor: SweepExecutor = IN_PROCESS,
             on_event: Optional["ProgressCallback"] = None) -> FigureResult:
     """Tail vs throughput at fixed 5 µs (§4.1's second workload)."""
     run_config = (config if config is not None else RunConfig()).scaled(scale)
@@ -218,7 +212,7 @@ def figure4(config: Optional[RunConfig] = None, scale: float = 1.0,
 
 def figure5(config: Optional[RunConfig] = None, scale: float = 1.0,
             rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
+            executor: SweepExecutor = IN_PROCESS,
             on_event: Optional["ProgressCallback"] = None) -> FigureResult:
     """Tail vs throughput at fixed 100 µs (§4.1's third workload)."""
     # Long services need a longer window for stable p99s.
@@ -245,7 +239,7 @@ def figure5(config: Optional[RunConfig] = None, scale: float = 1.0,
 
 def figure6(config: Optional[RunConfig] = None, scale: float = 1.0,
             rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
+            executor: SweepExecutor = IN_PROCESS,
             on_event: Optional["ProgressCallback"] = None) -> FigureResult:
     """Tail vs throughput at fixed 1 µs — the bottleneck figure (§5.1)."""
     run_config = (config if config is not None else RunConfig()).scaled(scale)

@@ -4,8 +4,8 @@ Executors emit one :class:`PointEvent` stream per process: a point is
 *started* when it is handed to a worker (or this process), *completed*
 when its :class:`~repro.metrics.summary.RunMetrics` lands, *cache-hit*
 when it is served from the on-disk result cache without simulating, and
-*failed* when its run raises.  Parallel executors emit from the parent
-process as futures resolve, so consumers never cross a process
+*failed* when its run raises.  Executors emit from the parent process
+as worker results arrive, so consumers never cross a process
 boundary themselves — partial results stream out of a sweep while later
 points are still running.
 
@@ -486,12 +486,6 @@ def ledger_path(cache_dir: Union[str, Path, None]) -> Optional[Path]:
     if cache_dir is None:
         return None
     return Path(cache_dir) / LEDGER_FILENAME
-
-
-def latest_ledger(directory: Union[str, Path]) -> Optional[Path]:
-    """The ledger in *directory*, or None when none has been written."""
-    path = Path(directory) / LEDGER_FILENAME
-    return path if path.exists() else None
 
 
 def clear_ledger(cache_dir: Union[str, Path]) -> None:

@@ -10,16 +10,13 @@ downstream studies that want to probe calibration robustness (e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.executor import ConfiguredFactory
-from repro.experiments.harness import RunConfig, SystemFactory, run_point
+from repro.experiments.executor import IN_PROCESS, PointSpec, SweepExecutor
+from repro.experiments.harness import RunConfig, SystemFactory
 from repro.metrics.summary import RunMetrics
 from repro.workload.distributions import ServiceTimeDistribution
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.executor import SweepExecutor
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def sweep_parameter(parameter: str, values: Sequence[Any],
                     rate_rps: float,
                     distribution: ServiceTimeDistribution,
                     config: Optional[RunConfig] = None,
-                    executor: Optional["SweepExecutor"] = None,
+                    executor: SweepExecutor = IN_PROCESS,
                     ) -> SensitivityResult:
     """Run one point per parameter value.
 
@@ -98,45 +95,19 @@ def sweep_parameter(parameter: str, values: Sequence[Any],
     rate_rps, distribution, config:
         Shared load conditions across all points.
     executor:
-        Optional sweep executor: the grid becomes one batch, so points
-        may run in parallel processes and/or hit the result cache.
-        Point order always matches *values* order.
+        Where the points run (in process by default): the grid is one
+        batch, so points may run in parallel processes and/or hit the
+        result cache.  Point order always matches *values* order.
     """
     if not values:
         raise ExperimentError("empty sweep")
     run_config = config if config is not None else RunConfig()
-    if executor is None:
-        all_metrics = [run_point(factory_for(value), rate_rps, distribution,
-                                 run_config)
-                       for value in values]
-    else:
-        from repro.experiments.executor import PointSpec
-        specs = [PointSpec(factory=factory_for(value), rate_rps=rate_rps,
-                           distribution=distribution, config=run_config,
-                           label=f"{parameter}={value!r}")
-                 for value in values]
-        all_metrics = executor.run_points(specs)
+    specs = [PointSpec(factory=factory_for(value), rate_rps=rate_rps,
+                       distribution=distribution, config=run_config,
+                       label=f"{parameter}={value!r}")
+             for value in values]
+    all_metrics = executor.run_points(specs)
     points = [SensitivityPoint(value=value, metrics=metrics)
               for value, metrics in zip(values, all_metrics)]
     return SensitivityResult(parameter=parameter, points=points)
 
-
-def sweep_system_parameter(system: str, parameter: str,
-                           values: Sequence[Any],
-                           config_for: Callable[[Any], Any],
-                           rate_rps: float,
-                           distribution: ServiceTimeDistribution,
-                           config: Optional[RunConfig] = None,
-                           executor: Optional["SweepExecutor"] = None,
-                           ) -> SensitivityResult:
-    """:func:`sweep_parameter` with the system resolved by registry name.
-
-    ``config_for`` maps each swept value to a system config; every
-    point then runs ``ConfiguredFactory.by_name(system, config)``, so
-    the sweep is picklable (parallel-executor safe) and cache-stable
-    without the caller importing any system class.
-    """
-    return sweep_parameter(
-        parameter, values,
-        lambda value: ConfiguredFactory.by_name(system, config_for(value)),
-        rate_rps, distribution, config=config, executor=executor)

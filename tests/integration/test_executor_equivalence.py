@@ -4,8 +4,8 @@ Determinism is the contract that makes sweep parallelism safe: every
 point runs in a fresh, independently seeded simulator, so *where* it
 runs must not matter.  These tests enforce the contract bit-for-bit —
 exact ``RunMetrics`` equality (same p99, same achieved_rps, same float
-representation) between :class:`SerialExecutor` and
-:class:`ParallelExecutor` for every served system, and between a fresh
+representation) between in-process and worker-process runs of
+:class:`SweepExecutor` for every served system, and between a fresh
 run and a cache-hit re-run.
 
 ``REPRO_TEST_JOBS`` (default 4) sets the worker-process count, so CI
@@ -21,10 +21,9 @@ import pytest
 from repro.config import ShinjukuConfig, ShinjukuOffloadConfig
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
     ResultCache,
-    SerialExecutor,
+    SweepExecutor,
 )
 from repro.experiments.harness import RunConfig, load_sweep
 from repro.systems.elastic_rss import ElasticRssConfig, ElasticRssSystem
@@ -82,8 +81,8 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
     def test_bit_identical_metrics(self, name, factory):
         """Same seed -> the *same* RunMetrics, wherever the point ran."""
-        serial = _sweep(factory, SerialExecutor())
-        parallel = _sweep(factory, ParallelExecutor(jobs=JOBS))
+        serial = _sweep(factory, SweepExecutor())
+        parallel = _sweep(factory, SweepExecutor(jobs=JOBS))
         for s_point, p_point in zip(serial.points, parallel.points):
             assert s_point.offered_rps == p_point.offered_rps
             # Frozen-dataclass equality is exact float equality across
@@ -91,10 +90,11 @@ class TestSerialParallelEquivalence:
             assert s_point.metrics == p_point.metrics
 
     @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
-    def test_executor_none_matches_serial_executor(self, name, factory):
-        """The executor layer changes nothing vs. the historical path."""
-        plain = _sweep(factory, None, rates=RATES[:2])
-        serial = _sweep(factory, SerialExecutor(), rates=RATES[:2])
+    def test_default_executor_matches_explicit_executor(self, name,
+                                                          factory):
+        """The shared default executor matches a fresh one."""
+        plain = load_sweep(factory, RATES[:2], DIST, TINY, system_name="sut")
+        serial = _sweep(factory, SweepExecutor(), rates=RATES[:2])
         assert [p.metrics for p in plain.points] == \
             [p.metrics for p in serial.points]
 
@@ -109,16 +109,16 @@ class TestAcceptance:
             ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4))
         rates = [100e3, 200e3, 300e3, 400e3, 500e3, 600e3, 700e3, 800e3]
 
-        serial = _sweep(factory, SerialExecutor(), rates=rates)
+        serial = _sweep(factory, SweepExecutor(), rates=rates)
         cache = ResultCache(tmp_path / "cache")
-        parallel = ParallelExecutor(jobs=4, cache=cache)
+        parallel = SweepExecutor(jobs=4, cache=cache)
         fanned = _sweep(factory, parallel, rates=rates)
         assert [p.metrics for p in serial.points] == \
             [p.metrics for p in fanned.points]
         assert parallel.stats.points_run == len(rates)
         assert parallel.stats.events_executed > 0
 
-        rerun_executor = ParallelExecutor(jobs=4, cache=cache)
+        rerun_executor = SweepExecutor(jobs=4, cache=cache)
         rerun = _sweep(factory, rerun_executor, rates=rates)
         assert [p.metrics for p in rerun.points] == \
             [p.metrics for p in serial.points]
@@ -133,11 +133,11 @@ class TestCacheHits:
     def test_cache_hit_returns_identical_metrics(self, tmp_path,
                                                  name, factory):
         cache = ResultCache(tmp_path)
-        first_executor = SerialExecutor(cache=cache)
+        first_executor = SweepExecutor(cache=cache)
         first = _sweep(factory, first_executor)
         assert first_executor.stats.points_run == len(RATES)
 
-        second_executor = SerialExecutor(cache=cache)
+        second_executor = SweepExecutor(cache=cache)
         second = _sweep(factory, second_executor)
         assert second_executor.stats.points_cached == len(RATES)
         assert second_executor.stats.events_executed == 0
@@ -148,8 +148,8 @@ class TestCacheHits:
         """Cache entries written serially serve a parallel re-run."""
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        filled = _sweep(factory, SerialExecutor(cache=cache))
-        reader = ParallelExecutor(jobs=JOBS, cache=cache)
+        filled = _sweep(factory, SweepExecutor(cache=cache))
+        reader = SweepExecutor(jobs=JOBS, cache=cache)
         reread = _sweep(factory, reader)
         assert reader.stats.events_executed == 0
         assert [p.metrics for p in filled.points] == \
@@ -166,11 +166,11 @@ class TestCacheHits:
         """A damaged cache file reads as a miss, never as bad data."""
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        baseline = _sweep(factory, SerialExecutor(cache=cache),
+        baseline = _sweep(factory, SweepExecutor(cache=cache),
                           rates=RATES[:2])
         victim = next(cache.root.glob("*/*.json"))
         victim.write_text("GARBAGE{{{")
-        executor = SerialExecutor(cache=cache)
+        executor = SweepExecutor(cache=cache)
         rerun = _sweep(factory, executor, rates=RATES[:2])
         assert executor.stats.points_run == 1
         assert executor.stats.points_cached == 1
@@ -180,7 +180,7 @@ class TestCacheHits:
     def test_different_seed_misses(self, tmp_path):
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = SweepExecutor(cache=cache)
         executor.run_points(
             [PointSpec(factory, 100e3, DIST, TINY, label="sut")])
         other = RunConfig(seed=TINY.seed + 1, horizon_ns=TINY.horizon_ns,
@@ -193,14 +193,14 @@ class TestCacheHits:
 
 class TestOpaqueFactories:
     def test_closure_factory_still_runs_in_parallel_executor(self):
-        """Closures can't cross process boundaries; they must still
-        produce correct results (inline), never crash."""
+        """Closures cannot be pickled; forked workers inherit them, so
+        they still produce the in-process results, never crash."""
         def closure_factory(sim, rngs, metrics):
             return RpcValetSystem(sim, rngs, metrics,
                                   config=RpcValetConfig(workers=2))
 
-        serial = _sweep(closure_factory, SerialExecutor(), rates=RATES[:2])
-        parallel = _sweep(closure_factory, ParallelExecutor(jobs=JOBS),
+        serial = _sweep(closure_factory, SweepExecutor(), rates=RATES[:2])
+        parallel = _sweep(closure_factory, SweepExecutor(jobs=JOBS),
                           rates=RATES[:2])
         assert [p.metrics for p in serial.points] == \
             [p.metrics for p in parallel.points]
@@ -211,7 +211,7 @@ class TestOpaqueFactories:
                                   config=RpcValetConfig(workers=2))
 
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = SweepExecutor(cache=cache)
         spec = PointSpec(closure_factory, 100e3, DIST, TINY, label="sut")
         executor.run_points([spec])
         executor.run_points([spec])

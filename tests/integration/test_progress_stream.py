@@ -13,11 +13,14 @@ import pytest
 
 from repro.bench.recorder import metrics_digest
 from repro.config import ShinjukuConfig
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SweepFailure
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
+    ResultCache,
+    SweepExecutor,
     make_executor,
+    spec_cache_key,
 )
 from repro.experiments.figures import figure2
 from repro.experiments.harness import RunConfig, load_sweep
@@ -50,48 +53,88 @@ def _specs(label="shinjuku"):
             for rate in RATES]
 
 
-class TestExecutorEventStream:
-    @pytest.mark.parametrize("jobs", [1, JOBS])
-    def test_every_point_emits_started_and_completed(self, jobs):
-        events = []
-        executor = make_executor(jobs=jobs, on_event=events.append)
-        results = executor.run_points(_specs())
-        assert len(results) == len(RATES)
-        started = {e.index for e in events if e.kind == STARTED}
-        completed = {e.index for e in events if e.kind == COMPLETED}
-        assert started == completed == set(range(len(RATES)))
-        # Completions carry the point's full partial RunMetrics.
-        for event in events:
-            if event.kind == COMPLETED:
-                assert event.metrics is results[event.index]
-        # Sequence numbers are strictly increasing.
-        seqs = [e.seq for e in events]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+@pytest.fixture(scope="module")
+def baseline():
+    """The serial sweep's results, run once with no subscriber."""
+    return make_executor(jobs=1).run_points(_specs())
 
-    def test_partial_results_consumable_mid_sweep(self):
+
+@pytest.fixture(scope="module")
+def observed():
+    """One serial sweep with a persistent and a per-call subscriber.
+
+    Returns ``(results, persistent events, per-call events)``; the
+    event-stream tests below all read this one run.
+    """
+    persistent, per_call = [], []
+    executor = make_executor(
+        jobs=1, on_event=multiplex(persistent.append, SweepProgress()))
+    results = executor.run_points(_specs(), on_event=per_call.append)
+    return results, persistent, per_call
+
+
+@pytest.fixture(scope="module")
+def inline():
+    """One sweep through ``load_sweep``'s default executor, observed."""
+    factory = ConfiguredFactory.by_name("shinjuku", ShinjukuConfig(workers=2))
+    progress = SweepProgress()
+    result = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
+                        system_name="shinjuku", on_event=progress)
+    return result, progress
+
+
+def _assert_started_and_completed(results, events):
+    assert len(results) == len(RATES)
+    started = {e.index for e in events if e.kind == STARTED}
+    completed = {e.index for e in events if e.kind == COMPLETED}
+    assert started == completed == set(range(len(RATES)))
+    # Completions carry the point's full partial RunMetrics.
+    for event in events:
+        if event.kind == COMPLETED:
+            assert event.metrics is results[event.index]
+    # Sequence numbers are strictly increasing.
+    seqs = [e.seq for e in events]
+    assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+
+
+def _cache_with(tmp_path, specs, results):
+    """A result cache holding *results* under *specs*' keys."""
+    cache = ResultCache(tmp_path)
+    for spec, metrics in zip(specs, results):
+        cache.put(spec_cache_key(spec), metrics)
+    return cache
+
+
+class TestExecutorEventStream:
+    def test_every_point_emits_started_and_completed_serially(self,
+                                                              observed):
+        results, events, _per_call = observed
+        _assert_started_and_completed(results, events)
+
+    def test_every_point_emits_started_and_completed_in_workers(self):
+        events = []
+        executor = make_executor(jobs=JOBS, on_event=events.append)
+        _assert_started_and_completed(executor.run_points(_specs()), events)
+
+    def test_partial_results_consumable_mid_sweep(self, observed):
         """A subscriber sees completed points while others are pending."""
+        _results, events, _per_call = observed
         progress = SweepProgress()
         snapshots = []
-
-        def snapshot(event):
+        for event in events:  # in the order the live sweep emitted them
             progress(event)
             if event.kind == COMPLETED:
                 snapshots.append((progress.settled,
                                   len(progress.partial_curve("shinjuku"))))
-
-        executor = make_executor(jobs=1, on_event=snapshot)
-        executor.run_points(_specs())
         # Mid-sweep states existed: some completions observed while the
         # sweep still had unsettled points.
         assert [settled for settled, _curve in snapshots] == [1, 2, 3, 4]
         assert [curve for _settled, curve in snapshots] == [1, 2, 3, 4]
 
-    def test_cache_hits_emit_events(self, tmp_path):
-        executor = make_executor(jobs=1, cache_dir=str(tmp_path))
-        executor.run_points(_specs())
+    def test_cache_hits_emit_events(self, tmp_path, baseline):
+        cache = _cache_with(tmp_path, _specs(), baseline)
         events = []
-        rerun = make_executor(jobs=1, cache_dir=str(tmp_path),
-                              on_event=events.append)
+        rerun = SweepExecutor(cache=cache, on_event=events.append)
         rerun.run_points(_specs())
         assert [e.kind for e in events] == [CACHE_HIT] * len(RATES)
         assert all(e.metrics is not None for e in events)
@@ -105,8 +148,10 @@ class TestExecutorEventStream:
                          label="doomed")
         events = []
         executor = make_executor(jobs=1, on_event=events.append)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SweepFailure) as excinfo:
             executor.run_points([spec])
+        [failure] = excinfo.value.failures
+        assert isinstance(failure.cause, RuntimeError)
         assert [e.kind for e in events] == [STARTED, FAILED]
         assert "rigged to fail" in events[1].error
 
@@ -125,53 +170,52 @@ class TestExecutorEventStream:
             executor.run_points(specs)
         assert any(e.kind == FAILED for e in events)
 
-    def test_subscriber_does_not_change_results(self):
-        plain = make_executor(jobs=1).run_points(_specs())
-        noisy = []
-        observed = make_executor(
-            jobs=1, on_event=multiplex(noisy.append,
-                                       SweepProgress())).run_points(_specs())
-        assert metrics_digest(plain) == metrics_digest(observed)
+    def test_subscriber_does_not_change_results(self, baseline, observed):
+        results, noisy, _per_call = observed
+        assert metrics_digest(baseline) == metrics_digest(results)
         assert noisy  # the stream actually fired
 
-    def test_per_call_subscriber_composes_with_persistent(self):
-        persistent, per_call = [], []
-        executor = make_executor(jobs=1, on_event=persistent.append)
-        executor.run_points(_specs(), on_event=per_call.append)
+    def test_per_call_subscriber_composes_with_persistent(self, observed):
+        _results, persistent, per_call = observed
+        assert persistent
         assert [e.seq for e in persistent] == [e.seq for e in per_call]
 
-    def test_batches_get_distinct_numbers(self):
+    def test_batches_get_distinct_numbers(self, tmp_path, baseline):
+        first, second = _specs(label="first"), _specs(label="second")
+        cache = _cache_with(tmp_path, first + second, baseline + baseline)
         events = []
-        executor = make_executor(jobs=1, on_event=events.append)
-        executor.run_points(_specs(label="first"))
-        executor.run_points(_specs(label="second"))
+        executor = SweepExecutor(cache=cache, on_event=events.append)
+        executor.run_points(first)
+        executor.run_points(second)
         assert {e.batch for e in events if e.label == "first"} == {0}
         assert {e.batch for e in events if e.label == "second"} == {1}
 
 
 class TestHarnessInlineStream:
-    def test_load_sweep_without_executor_emits_events(self):
-        factory = ConfiguredFactory.by_name(
-            "shinjuku", ShinjukuConfig(workers=2))
-        progress = SweepProgress()
-        result = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                            system_name="shinjuku", on_event=progress)
+    def test_load_sweep_without_executor_emits_events(self, inline):
+        result, progress = inline
         assert len(result.points) == len(RATES)
         assert progress.settled == len(RATES)
         assert len(progress.partial_curve("shinjuku")) == len(RATES)
 
-    def test_inline_matches_executor_results(self):
+    def test_inline_matches_executor_results(self, inline, baseline):
+        result, _progress = inline
+        assert metrics_digest([p.metrics for p in result.points]) == \
+            metrics_digest(baseline)
+
+    def test_successive_default_sweeps_keep_points_distinct(self):
+        """Two default-executor sweeps feeding one subscriber never
+        alias on ``(batch, index)``."""
         factory = ConfiguredFactory.by_name(
             "shinjuku", ShinjukuConfig(workers=2))
-        inline = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                            system_name="shinjuku",
-                            on_event=SweepProgress())
-        executed = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                              system_name="shinjuku",
-                              executor=make_executor(jobs=1,
-                                                     on_event=SweepProgress()))
-        assert metrics_digest([p.metrics for p in inline.points]) == \
-            metrics_digest([p.metrics for p in executed.points])
+        short = RunConfig(seed=42, horizon_ns=4e6, warmup_ns=1e6)
+        progress = SweepProgress()
+        for label in ("first", "second"):
+            load_sweep(factory, RATES, Fixed(us(2.0)), short,
+                       system_name=label, on_event=progress)
+        assert progress.settled == 2 * len(RATES)
+        assert len(progress.partial_curve("first")) == len(RATES)
+        assert len(progress.partial_curve("second")) == len(RATES)
 
 
 class TestFigureStream:

@@ -10,16 +10,15 @@ which worker finishes first).
 
 from __future__ import annotations
 
-import concurrent.futures
+import multiprocessing
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
-    SerialExecutor,
+    SweepExecutor,
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig, load_sweep
@@ -73,9 +72,8 @@ class TestKeyStability:
         cases = [(1, 100e3, ms(2.0)), (42, 333e3, ms(5.0)),
                  (7, 1.5e6, ms(1.0))]
         parent = [_key_in_subprocess(*case) for case in cases]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            children = list(pool.map(_key_in_subprocess,
-                                     *zip(*cases)))
+        with multiprocessing.Pool(2) as pool:
+            children = pool.starmap(_key_in_subprocess, cases)
         assert parent == children
 
 
@@ -149,7 +147,7 @@ class TestOrdering:
         config = RunConfig(seed=5, horizon_ns=ms(0.5), warmup_ns=ms(0.1))
         sweep = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
                            system_name="sut",
-                           executor=ParallelExecutor(jobs=4))
+                           executor=SweepExecutor(jobs=4))
         assert [p.offered_rps for p in sweep.points] == list(rate_list)
 
     def test_parallel_order_matches_serial_order(self):
@@ -158,9 +156,9 @@ class TestOrdering:
         rate_list = [1600e3, 800e3, 400e3, 200e3, 100e3, 50e3]
         config = RunConfig(seed=5, horizon_ns=ms(0.5), warmup_ns=ms(0.1))
         serial = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
-                            executor=SerialExecutor())
+                            executor=SweepExecutor())
         parallel = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
-                              executor=ParallelExecutor(jobs=4))
+                              executor=SweepExecutor(jobs=4))
         assert [p.offered_rps for p in parallel.points] == rate_list
         assert [p.metrics for p in parallel.points] == \
             [p.metrics for p in serial.points]
