@@ -249,7 +249,7 @@ class WallClockRule(Rule):
 
 #: Call targets that feed the event schedule or a queue decision.
 _SCHEDULING_CALLS = frozenset({
-    "_schedule", "schedule", "enqueue", "dequeue", "try_dequeue",
+    "_push", "_schedule", "schedule", "enqueue", "dequeue", "try_dequeue",
     "succeed", "fail", "timeout", "process", "call_at", "call_in",
     "defer", "defer_at", "heappush", "push", "interrupt", "send",
 })

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.errors import SanitizerError
 from repro.runtime.request import Request, RequestState
 from repro.runtime.taskqueue import TaskQueue
-from repro.sim.engine import Simulator
+from repro.sim.engine import ReferenceSimulator
 from repro.sim.rng import RngRegistry, _derive_seed
 
 #: Request states that count as "terminated" for conservation.
@@ -140,14 +140,17 @@ class SanitizerReport:
                 f"drained={self.drained} draws: {draws})")
 
 
-class SanitizedSimulator(Simulator):
-    """Drop-in :class:`Simulator` that checks runtime invariants.
+class SanitizedSimulator(ReferenceSimulator):
+    """Drop-in :class:`~repro.sim.engine.Simulator` that checks runtime
+    invariants.
 
     Strictly observation-only: it never reorders events, never draws
     randomness, and never mutates watched objects — a sanitized run
     produces bit-identical metrics to a plain one.  Checks run after
     each :meth:`step` (between event callbacks, so watched state is
-    quiescent) and at :meth:`finalize`.
+    quiescent) and at :meth:`finalize`.  It runs the pure-Python
+    reference kernel, so a sanitized run is also an independent replay
+    of what the compiled kernel computes.
     """
 
     def __init__(self, start_time: float = 0.0,

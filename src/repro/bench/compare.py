@@ -5,7 +5,8 @@ it against the previous one:
 
 - **regression** — events/sec dropped by more than the threshold
   (default 20%) between two *comparable* runs (same scale, seed, jobs,
-  sanitize, cache setting, and point/event counts);
+  sanitize, cache setting, fast-path mode, event kernel, and
+  point/event counts);
 - **drift** — the metrics digests differ between comparable runs: the
   simulation itself changed, which no speedup excuses.
 
@@ -36,6 +37,8 @@ def _env(record: Dict[str, Any], key: str) -> Any:
     env = record.get("environment", {})
     if key == "fastpath":
         return env.get(key, "off")
+    if key == "kernel":  # records before the compiled kernel
+        return env.get(key, "python")
     return env.get(key)
 
 

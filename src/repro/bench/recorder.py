@@ -8,8 +8,8 @@ one measured run of a named suite (see :mod:`repro.bench.suites`):
 - **throughput counters** — simulator events executed, sweep points
   run, wall seconds, and the derived events/sec and points/sec;
 - **an environment fingerprint** — interpreter, platform, CPU count,
-  package version, and the knobs (scale/seed/jobs/sanitize) that make
-  two records comparable or not;
+  package version, and the knobs (scale/seed/jobs/sanitize/fast path)
+  and event kernel that make two records comparable or not;
 - **a metrics digest** — SHA-256 over the exact
   :class:`~repro.metrics.summary.RunMetrics` JSON images of every point
   the suite ran, the bit-identical-speedup contract in one hex string.
@@ -52,7 +52,7 @@ TIMING_FIELDS = ("recorded_at", "wall_s", "events_per_sec",
 #: Environment keys that must match for two records to be comparable
 #: (same simulated work, so events/sec ratios are meaningful).
 COMPARABLE_ENV_KEYS = ("scale", "seed", "jobs", "sanitize", "cached",
-                       "fastpath")
+                       "fastpath", "kernel")
 
 
 def artifact_filename(name: str) -> str:
@@ -137,6 +137,7 @@ class SuiteResult:
 def capture_environment(options: BenchOptions) -> Dict[str, Any]:
     """The host + knob fingerprint stored with every record."""
     from repro.analysis.sanitizer import sanitize_enabled
+    from repro.experiments.harness import kernel_name
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -150,6 +151,9 @@ def capture_environment(options: BenchOptions) -> Dict[str, Any]:
         "scale": options.scale,
         "seed": options.seed,
         "fastpath": options.fastpath,
+        #: The event kernel the points ran on: a compiled-kernel record
+        #: is never judged against a pure-Python one.
+        "kernel": kernel_name(),
     }
 
 

@@ -29,7 +29,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import RunMetrics
-from repro.sim.engine import Simulator
+from repro.sim.engine import KERNEL, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tiebreak import TieBreakPolicy, tiebreak_from_env
 from repro.systems.base import BaseSystem
@@ -133,6 +133,15 @@ class LoadSweepResult:
     def max_achieved_rps(self) -> float:
         """The best throughput any point achieved."""
         return max((p.achieved_rps for p in self.points), default=0.0)
+
+
+def kernel_name(sanitize: Optional[bool] = None) -> str:
+    """The event kernel points built here run on: ``"c"`` or
+    ``"python"``.  The sanitizing simulator always runs the reference
+    kernel; *sanitize* defaults to ``REPRO_SANITIZE``."""
+    if sanitize is None:
+        sanitize = sanitize_enabled()
+    return "python" if sanitize else KERNEL.name
 
 
 def run_point_with_events(factory: SystemFactory, rate_rps: float,

@@ -10,6 +10,7 @@ from typing import Iterable, List, Sequence
 
 from repro.experiments.executor import ExecutorStats
 from repro.experiments.figures import FigureResult
+from repro.experiments.harness import kernel_name
 from repro.experiments.tables import TableRow
 from repro.metrics.summary import RunMetrics
 
@@ -94,7 +95,8 @@ def render_t1(rows: Iterable[TableRow]) -> str:
 
 
 def render_executor_stats(stats: ExecutorStats, jobs: int = 1) -> str:
-    """One-line summary of where a run's points came from.
+    """One-line summary of where a run's points came from, ending with
+    the event kernel they ran on.
 
     Supervision tallies (retries, failures, ledger-resumed points,
     quarantined cache entries) are appended only when nonzero, so an
@@ -110,7 +112,7 @@ def render_executor_stats(stats: ExecutorStats, jobs: int = 1) -> str:
         ("quarantined", stats.points_quarantined)) if value]
     for label, value in extras:
         line += f" {label}={value}"
-    return line + "]"
+    return line + f" kernel={kernel_name()}]"
 
 
 def render_run(name: str, metrics: RunMetrics) -> str:

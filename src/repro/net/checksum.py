@@ -8,7 +8,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 from repro.net.addressing import FiveTuple
 
@@ -37,21 +38,41 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
+@lru_cache(maxsize=16)
+def _toeplitz_tables(key: bytes, length: int) -> Tuple[Tuple[int, ...], ...]:
+    """For the first *length* input byte positions, the hash contribution
+    of each byte value.
+
+    The key is a long bit string; each set input bit at position ``p``
+    XORs in the 32-bit key window starting at bit ``p``.  Table ``i``
+    entry ``b`` is the XOR of those windows over the set bits of byte
+    value ``b`` at byte position ``i``, so hashing costs one lookup per
+    input byte.  Built once per key and input length (RSS hashes a
+    fixed 12 bytes).
+    """
+    key_int = int.from_bytes(key, "big")
+    key_bits = len(key) * 8
+    tables = []
+    for position in range(length):
+        # windows[bit] belongs to input mask 0x80 >> bit.
+        windows = [(key_int >> (key_bits - 32 - (position * 8 + bit)))
+                   & 0xFFFFFFFF for bit in range(8)]
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value  # lowest set bit: mask 0x80 >> bit
+            table[value] = table[value ^ low] ^ windows[8 - low.bit_length()]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _toeplitz_bytes(key: bytes, data: bytes) -> int:
     """Core Toeplitz computation over *data* using *key*."""
     if len(key) < len(data) + 4:
         raise ValueError(
             f"RSS key too short: need {len(data) + 4} bytes, have {len(key)}")
-    # The key is treated as a long bit string; for each set bit of the
-    # input, XOR in the 32-bit key window starting at that bit position.
-    key_int = int.from_bytes(key, "big")
-    key_bits = len(key) * 8
     result = 0
-    for byte_index, byte in enumerate(data):
-        for bit in range(8):
-            if byte & (0x80 >> bit):
-                shift = key_bits - 32 - (byte_index * 8 + bit)
-                result ^= (key_int >> shift) & 0xFFFFFFFF
+    for table, byte in zip(_toeplitz_tables(key, len(data)), data):
+        result ^= table[byte]
     return result
 
 

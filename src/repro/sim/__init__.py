@@ -3,7 +3,9 @@
 A small, fast, generator-based discrete-event kernel in the style of
 simpy, written from scratch for this reproduction.  The public surface:
 
-- :class:`~repro.sim.engine.Simulator` — the event loop and clock.
+- :class:`~repro.sim.engine.Simulator` — the event loop and clock, on
+  the compiled event kernel when it builds (see :mod:`repro.sim.kernel`)
+  and on the pure-Python reference kernel otherwise.
 - :class:`~repro.sim.events.Event` — one-shot completion events.
 - :class:`~repro.sim.process.Process` — generator-based coroutines that
   ``yield`` events to wait on them, with support for interrupts (used to

@@ -22,10 +22,15 @@ its constant factors small without ever changing *what* is scheduled:
   merged pop order is exactly the single-heap (time, priority, seq)
   total order — pinned by the golden differential tests and the
   wheel-vs-heap property suite.
-- :meth:`Simulator.run` inlines the dispatch loop (no per-event
-  :meth:`step` call) whenever ``step`` has not been overridden;
-  instrumented subclasses such as the sanitizer's automatically get the
-  legacy step-by-step loop instead, with identical semantics.
+- Every push goes through one entry point, :meth:`Simulator._push`:
+  it takes the next sequence number, mixes it through the tie-break
+  policy and files the entry on the heap or the wheel.  Events,
+  timeouts and the store/signal primitives all call it, so the
+  scheduling invariant is written down once per kernel.
+- :meth:`Simulator.run` dispatches through the inline loop
+  :meth:`Simulator._loop` (no per-event :meth:`step` call) whenever
+  ``step`` has not been overridden; instrumented subclasses get the
+  step-by-step loop instead, with identical semantics.
 - Processed :class:`~repro.sim.events.Timeout` and
   :class:`~repro.sim.events.Event` objects are recycled through small
   per-simulator freelists — but only when the kernel holds the *last*
@@ -46,17 +51,33 @@ its constant factors small without ever changing *what* is scheduled:
 
 None of this changes the number or order of schedule pushes — the
 determinism contract is pinned by the golden differential tests.
+
+Two kernels
+-----------
+The methods named in :data:`KERNEL_METHODS` — ``_push``, ``_loop``,
+``timeout``, ``defer`` and ``_make_resume`` (the per-process resume
+callable) — are the kernel.  This module defines them in pure Python:
+that is the reference kernel, complete on its own.  On import,
+:mod:`repro.sim.kernel` builds the compiled twin in ``_kernel.c`` and
+:data:`KERNEL` records which one :class:`Simulator` runs and why;
+``REPRO_KERNEL=python`` keeps the reference.
+:class:`ReferenceSimulator` always runs the reference kernel; the
+sanitizer builds on it.  Both kernels pop the same total order of
+unique ``(when, priority, key)`` tuples, so they replay a run bit for
+bit.
 """
 
 from __future__ import annotations
 
 import gc
+import warnings
 
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.errors import SchedulingError, SimulationError
+from repro.sim import kernel
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.tiebreak import FIFO, TB_MASK, TieBreakPolicy
@@ -139,9 +160,8 @@ class Simulator:
         self._near_cancelled = 0
         #: Tie-break policy: equal-(when, priority) events dispatch in
         #: ``(seq * _tb_mult + _tb_add) & TB_MASK`` order.  The default
-        #: identity (mult 1, add 0) is byte-identical FIFO; every push
-        #: site — heap, wheel, and the inlined fast paths in events.py
-        #: and primitives.py — applies the same affine mix.
+        #: identity (mult 1, add 0) is byte-identical FIFO; ``_push``,
+        #: the one push entry point, applies the mix.
         self._tiebreak = FIFO
         self._tb_mult = 1
         self._tb_add = 0
@@ -206,14 +226,8 @@ class Simulator:
             ev._state = 1
             ev.label = label
             ev.delay = delay
-            self._seq = seq = self._seq + 1
-            key = (seq * self._tb_mult + self._tb_add) & TB_MASK
-            when = self._now + delay
-            ev.when = when
-            if when < self._near_end:
-                heappush(self._heap, (when, NORMAL, key, ev))
-            else:
-                self._wheel.push((when, NORMAL, key, ev))
+            ev.when = when = self._now + delay
+            self._push(when, NORMAL, ev)
             return ev
         return Timeout(self, delay, value=value, label=label)
 
@@ -270,13 +284,7 @@ class Simulator:
             cell.args = args
         else:
             cell = _Deferred(func, args)
-        self._seq = seq = self._seq + 1
-        key = (seq * self._tb_mult + self._tb_add) & TB_MASK
-        when = self._now + delay
-        if when < self._near_end:
-            heappush(self._heap, (when, NORMAL, key, cell))
-        else:
-            self._wheel.push((when, NORMAL, key, cell))
+        self._push(self._now + delay, NORMAL, cell)
 
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
@@ -292,18 +300,27 @@ class Simulator:
 
     # -- scheduling core -------------------------------------------------------
 
+    def _push(self, when: float, priority: int, event: Any) -> None:
+        """Insert *event* into the schedule at absolute time *when*.
+
+        The one definition of the scheduling invariant in this kernel:
+        every push takes the next sequence number, mixes it through the
+        tie-break policy into the entry's key, and files the entry on
+        the near heap below ``_near_end`` or on the wheel at/after it.
+        """
+        self._seq = seq = self._seq + 1
+        key = (seq * self._tb_mult + self._tb_add) & TB_MASK
+        if when < self._near_end:
+            heappush(self._heap, (when, priority, key, event))
+        else:
+            self._wheel.push((when, priority, key, event))
+
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
         """Insert a triggered *event* into the schedule (kernel use)."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        self._seq = seq = self._seq + 1
-        key = (seq * self._tb_mult + self._tb_add) & TB_MASK
-        when = self._now + delay
-        if when < self._near_end:
-            heappush(self._heap, (when, priority, key, event))
-        else:
-            self._wheel.push((when, priority, key, event))
+        self._push(self._now + delay, priority, event)
 
     def _refill(self) -> bool:
         """Move the next wheel batch into the (empty) near heap.
@@ -437,22 +454,36 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        # An unbounded run compares against +inf, which no event time
+        # or budget ever exceeds.
+        limit = float("inf") if max_events is None \
+            else self._event_count + max_events
+        try:
+            self._loop(float("inf") if until is None else until, limit)
+            if self._event_count > limit:
+                raise SimulationError(
+                    f"run() exceeded max_events={max_events}")
+            if until is not None:
+                self._now = until
+        finally:
+            self._running = False
+            if gc_was_enabled:
+                gc.enable()
+
+    def _loop(self, horizon: float, limit: float) -> None:
+        """Dispatch events until the next one lies past *horizon*, the
+        schedule drains, or the event count passes *limit*."""
         heap = self._heap
         pop = heappop
         refill = self._refill
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         deferred_pool = self._deferred_pool
-        # Hoist the per-iteration None checks: an unbounded run compares
-        # against +inf, which no event time or budget ever exceeds.
-        horizon = float("inf") if until is None else until
         count = self._event_count
-        limit = float("inf") if max_events is None else count + max_events
         try:
             while True:
                 while heap:
                     if heap[0][0] > horizon:
-                        self._now = until
                         return
                     when, _prio, _seq, event = pop(heap)
                     cls = event.__class__
@@ -501,17 +532,19 @@ class Simulator:
                                 event._value = None
                                 event_pool.append(event)
                     if count > limit:
-                        raise SimulationError(
-                            f"run() exceeded max_events={max_events}")
+                        return
                 if not refill():
-                    break
-            if until is not None:
-                self._now = until
+                    return
         finally:
             self._event_count = count
-            self._running = False
-            if gc_was_enabled:
-                gc.enable()
+
+    def _make_resume(self, process: Process) -> Callable[[Event], None]:
+        """The callable that resumes *process* with an event's outcome.
+
+        Made once per process; the process hands this same object to
+        every event it waits on.
+        """
+        return process._wake
 
     def _run_stepwise(self, until: Optional[float],
                       max_events: Optional[int]) -> None:
@@ -593,3 +626,56 @@ class Simulator:
         return (f"<Simulator t={self._now:.1f}ns "
                 f"pending={self.pending_count()} "
                 f"processed={self._event_count}>")
+
+
+class ReferenceSimulator(Simulator):
+    """A :class:`Simulator` pinned to the pure-Python reference kernel.
+
+    Whatever :data:`KERNEL` selected, instances run the reference
+    definitions of the kernel methods below.  The sanitizer builds on
+    it, and the kernel differential tests hold the compiled kernel to
+    it.
+    """
+
+    __slots__ = ()
+
+    _push = Simulator._push
+    _loop = Simulator._loop
+    timeout = Simulator.timeout
+    defer = Simulator.defer
+    _make_resume = Simulator._make_resume
+
+
+#: The methods a compiled kernel replaces on :class:`Simulator`.
+KERNEL_METHODS = ("_push", "_loop", "timeout", "defer", "_make_resume")
+
+
+def _select_kernel() -> kernel.KernelChoice:
+    """Load the compiled kernel and install it on :class:`Simulator`.
+
+    Falls back to the reference kernel, with the reason, on any
+    failure; a fallback nobody asked for is also reported as a
+    warning.
+    """
+    choice = kernel.load()
+    if choice.compiled:
+        try:
+            methods = choice.module.bind(
+                Simulator, Event, Timeout, _Deferred, Process,
+                SchedulingError, NORMAL, _POOL_CAP)
+        except Exception as exc:  # importing the simulator never fails
+            choice = kernel.reference(
+                f"bind failed: {type(exc).__name__}: {exc}")
+        else:
+            for name in KERNEL_METHODS:
+                setattr(Simulator, name, methods[name])
+            return choice
+    if not kernel.python_requested():
+        warnings.warn(f"using the pure-Python event kernel: {choice.reason}",
+                      RuntimeWarning, stacklevel=2)
+    return choice
+
+
+#: The kernel :class:`Simulator` runs in this process, and why; see
+#: :mod:`repro.sim.kernel`.
+KERNEL = _select_kernel()

@@ -18,21 +18,17 @@ Hot-path note: state lives internally as a small int (``_PENDING`` /
 ``_TRIGGERED`` / ``_PROCESSED`` / ``_CANCELLED``) because millions of
 events flow through a sweep and enum identity checks are measurably
 slower; the public :attr:`Event.state` property still answers with the
-:class:`EventState` enum.  Triggering pushes straight into the owning
-simulator's schedule — near-heap pushes below ``sim._near_end``, wheel
-pushes at/after it; the schedule tuple layout ``(when, priority, seq,
-event)`` is shared with :mod:`repro.sim.engine` and must never diverge
-from it.
+:class:`EventState` enum.  Triggering hands the event to the owning
+simulator's ``_push`` — the kernel's single schedule entry point — at
+the absolute time ``now + delay``.
 """
 
 from __future__ import annotations
 
 import enum
-from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.tiebreak import TB_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -128,13 +124,7 @@ class Event:
         self._value = value
         self._state = _TRIGGERED
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-        when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
-        else:
-            sim._wheel.push((when, _NORMAL, key, self))
+        sim._push(sim._now + delay, _NORMAL, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -149,13 +139,7 @@ class Event:
         self._value = exception
         self._state = _TRIGGERED
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-        when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
-        else:
-            sim._wheel.push((when, _NORMAL, key, self))
+        sim._push(sim._now + delay, _NORMAL, self)
         return self
 
     def cancel(self) -> bool:
@@ -188,10 +172,10 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Construction is flattened (no ``super().__init__`` chain, schedule
-    push inlined): timeouts are the single most allocated object in a
-    sweep, and the engine's freelist (:meth:`Simulator.timeout`)
-    recycles them through exactly this field layout.
+    Construction is flattened (no ``super().__init__`` chain):
+    timeouts are the single most allocated object in a sweep, and the
+    engine's freelist (:meth:`Simulator.timeout`) recycles them through
+    exactly this field layout.
     """
 
     __slots__ = ("delay", "when")
@@ -207,15 +191,10 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self.label = label
         self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
         # The absolute deadline is kept on the event so cancel() can
         # locate its wheel bucket without a search.
         self.when = when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
-        else:
-            sim._wheel.push((when, _NORMAL, key, self))
+        sim._push(when, _NORMAL, self)
 
 
 class _Condition(Event):

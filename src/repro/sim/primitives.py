@@ -11,12 +11,10 @@
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from repro.errors import QueueFullError, SimulationError
 from repro.sim.events import Event, _NORMAL, _PENDING, _TRIGGERED
-from repro.sim.tiebreak import TB_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -104,9 +102,7 @@ class Store:
                 getter._value = item
                 getter._state = _TRIGGERED
                 sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-                heappush(sim._heap, (sim._now + 0.0, _NORMAL, key, getter))
+                sim._push(sim._now + 0.0, _NORMAL, getter)
                 self.total_put += 1
                 return True
         items = self._items
@@ -144,9 +140,7 @@ class Store:
             ev._value = items.popleft()
             ev._ok = True
             ev._state = _TRIGGERED
-            sim._seq = seq = sim._seq + 1
-            key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-            heappush(sim._heap, (sim._now + 0.0, _NORMAL, key, ev))
+            sim._push(sim._now + 0.0, _NORMAL, ev)
             if self._putters:
                 self._admit_putter()
             return ev
@@ -320,7 +314,7 @@ class Signal:
         woken = 0
         waiters, self._waiters = self._waiters, deque()
         sim = self.sim
-        heap = sim._heap
+        push = sim._push
         # No callbacks run inside this loop, so the clock is stable.
         when = sim._now + 0.0
         for waiter in waiters:
@@ -330,9 +324,7 @@ class Signal:
                 waiter._ok = True
                 waiter._value = value
                 waiter._state = _TRIGGERED
-                sim._seq = seq = sim._seq + 1
-                key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-                heappush(heap, (when, _NORMAL, key, waiter))
+                push(when, _NORMAL, waiter)
                 woken += 1
         return woken
 

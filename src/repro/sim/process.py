@@ -15,7 +15,11 @@ the generator at its current wait point.  The generator may catch it,
 save state, and continue — exactly how the paper's workers react to a
 local-APIC timer interrupt.
 
-Hot-path note: the resume trampoline binds ``generator.send`` /
+Hot-path note: each process asks its simulator's kernel once for a
+resume callable (``Simulator._make_resume``) and hands that same object
+to every event it waits on.  The compiled kernel returns a C callable,
+so no resume runs a Python frame; the reference kernel returns the
+bound :meth:`Process._wake`.  ``_wake`` binds ``generator.send`` /
 ``generator.throw`` once at start (a bound-method lookup per event is
 measurable at fig2 scale), reads event state as the kernel's internal
 int, and short-circuits the ``isinstance`` check for the overwhelmingly
@@ -36,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Process(Event):
     """A running simulation coroutine; also an event for its completion."""
 
-    __slots__ = ("_generator", "_waiting_on", "_send", "_throw")
+    __slots__ = ("_generator", "_waiting_on", "_send", "_throw",
+                 "_resume")
 
     def __init__(self, sim: "Simulator", generator: Generator, label: str = ""):
         try:
@@ -51,6 +56,9 @@ class Process(Event):
         self._send = send
         self._throw = throw
         self._waiting_on: Optional[Event] = None
+        #: The kernel's resume callable for this process, made once and
+        #: handed to every event the process waits on.
+        self._resume = sim._make_resume(self)
         # Kick off on the next kernel step at the current instant.
         bootstrap = sim.event(label=f"start:{label}" if label else "start:")
         bootstrap.callbacks.append(self._resume)
@@ -101,7 +109,12 @@ class Process(Event):
         self._waiting_on = None
         self._advance(throw=poke._value)
 
-    def _resume(self, event: Event) -> None:
+    def _wake(self, event: Event) -> None:
+        """One resume on the reference kernel: send *event*'s outcome
+        into the generator and arm the next resume on what it yields.
+
+        The compiled kernel's resume callable does exactly this in C.
+        """
         # The per-event trampoline: one kernel callback per resume, so
         # the whole send-and-rearm path lives in this single frame
         # (an extra delegation call per event is measurable at scale).

@@ -26,10 +26,11 @@ and asserts the metrics digest is invariant — turning "we believe FIFO
 ties don't matter" into a checked property (see
 :mod:`repro.analysis.racecheck`).
 
-Every push site in the kernel honors the policy: the near heap, the
-timer wheel (keys are baked into the schedule tuple before bucketing),
-and the pooled/inlined fast paths in :mod:`repro.sim.engine`,
-:mod:`repro.sim.events`, and :mod:`repro.sim.primitives`.
+Every push honors the policy, because every push goes through the
+kernel's one entry point, ``Simulator._push`` (pure Python in
+:mod:`repro.sim.engine`, compiled in ``_kernel.c``); keys are baked
+into the schedule tuple before it reaches the near heap or the timer
+wheel.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class TieBreakPolicy:
 
     def key(self, seq: int) -> int:
         """The tie key for sequence number *seq* (reference semantics;
-        hot paths inline this arithmetic)."""
+        the kernels' ``_push`` computes the same mix)."""
         return (seq * self.mult + self.add) & TB_MASK
 
     def __repr__(self) -> str:

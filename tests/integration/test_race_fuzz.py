@@ -113,6 +113,15 @@ class TestFuzzSystems:
         assert {d.field for d in drifts} == {"worker_wait_fraction"}
         assert not diffs
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known tie race: at 2x horizon, seed 10, a workstealing owner's "
+        "own-queue get and a peer's steal probe land at the same "
+        "instant, so the tie order decides who runs the request; "
+        "fixing it moves the perfbench goldens"))
+    def test_workstealing_is_invariant_at_double_horizon(self):
+        report = fuzz_system("workstealing", scale=2.0, run_seed=10)
+        assert report.verdict == VERDICT_INVARIANT
+
     def test_injection_diverges_every_permutation(self):
         report = fuzz_injected(permutations=4)
         assert report.verdict == VERDICT_DIVERGENT

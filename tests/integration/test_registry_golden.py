@@ -83,8 +83,9 @@ def test_fixture_covers_every_registered_system():
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_registry_build_matches_pre_refactor_serial(name):
-    """Serial path: registry-built metrics == pre-refactor metrics."""
+def test_registry_build_matches_pre_refactor_serial(name, kernel):
+    """Serial path: registry-built metrics == pre-refactor metrics,
+    under each event kernel."""
     executor = SweepExecutor()
     for spec, want in _golden_specs(name):
         got = metrics_to_jsonable(executor.run_point(spec))

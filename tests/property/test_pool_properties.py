@@ -5,13 +5,13 @@ objects it holds the last reference to, plus every ``defer()`` cell.
 Recycling must be invisible: equal-timestamp FIFO order survives any
 interleaving of fresh and pooled objects, an object is never handed
 out while it still sits in the schedule, and ``Simulator.close()``
-drops every pooled object.
+drops every pooled object.  Every property holds under each event
+kernel.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout
 
 
@@ -28,11 +28,12 @@ delays = st.lists(st.floats(min_value=0.0, max_value=1e5,
 class TestFifoStabilityAcrossRecycling:
     @given(batch_sizes)
     @settings(max_examples=50, deadline=None)
-    def test_equal_timestamp_fifo_survives_pooled_batches(self, sizes):
+    def test_equal_timestamp_fifo_survives_pooled_batches(self, sim_class,
+                                                          sizes):
         """Each batch fires in creation order even when its event
         objects are recycled carcasses of earlier batches."""
         order = []
-        sim = Simulator()
+        sim = sim_class()
 
         def run_batch(start, size, gap):
             for k in range(size):
@@ -51,10 +52,10 @@ class TestFifoStabilityAcrossRecycling:
 
     @given(delays)
     @settings(max_examples=50, deadline=None)
-    def test_mixed_delay_order_matches_stable_sort(self, ds):
+    def test_mixed_delay_order_matches_stable_sort(self, sim_class, ds):
         """Pooled and fresh events together still fire in stable
         (time, creation) order across two full drain cycles."""
-        sim = Simulator()
+        sim = sim_class()
         for cycle in range(2):  # second cycle runs on recycled objects
             order = []
             start = sim.now  # nonzero on cycle 2: delays may absorb
@@ -72,14 +73,15 @@ class TestNoReuseWhileScheduled:
                     min_size=1, max_size=80),
            st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_pools_never_hold_a_scheduled_object(self, ops, delay_mod):
+    def test_pools_never_hold_a_scheduled_object(self, sim_class, ops,
+                                                 delay_mod):
         """Invariant: nothing in a freelist is also in the heap.
 
         A pooled object that is still scheduled would fire twice (or
         fire as somebody else's event) — the one corruption pooling
         must never introduce.
         """
-        sim = Simulator()
+        sim = sim_class()
 
         def check():
             scheduled = {id(entry[3]) for entry in sim.pending_entries()}
@@ -102,10 +104,10 @@ class TestNoReuseWhileScheduled:
         sim.run()
         check()
 
-    def test_held_timeout_is_not_recycled(self):
+    def test_held_timeout_is_not_recycled(self, sim_class):
         """An event the caller still references survives processing
         untouched — only kernel-owned carcasses are pooled."""
-        sim = Simulator()
+        sim = sim_class()
         held = sim.timeout(1.0, value="mine")
         for _ in range(8):
             sim.timeout(1.0)
@@ -118,10 +120,10 @@ class TestNoReuseWhileScheduled:
         assert fresh is not held
         sim.run()
 
-    def test_recycled_timeout_arrives_clean(self):
+    def test_recycled_timeout_arrives_clean(self, sim_class):
         """A pooled object is re-issued with empty callbacks and the
         caller's value, never a previous life's state."""
-        sim = Simulator()
+        sim = sim_class()
         sim.timeout(1.0, value="old").callbacks.append(lambda _e: None)
         sim.run()
         assert sim.pool_sizes()["timeout"] >= 1
@@ -137,8 +139,8 @@ class TestNoReuseWhileScheduled:
 class TestPoolDrainOnTeardown:
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=30, deadline=None)
-    def test_close_empties_every_pool(self, n):
-        sim = Simulator()
+    def test_close_empties_every_pool(self, sim_class, n):
+        sim = sim_class()
         for i in range(n):
             sim.timeout(float(i % 7))
             sim.defer(float(i % 5), lambda: None)
@@ -151,8 +153,8 @@ class TestPoolDrainOnTeardown:
         assert sim.pool_sizes() == {"timeout": 0, "event": 0,
                                     "deferred": 0}
 
-    def test_close_keeps_simulator_usable(self):
-        sim = Simulator()
+    def test_close_keeps_simulator_usable(self, sim_class):
+        sim = sim_class()
         for _ in range(10):
             sim.timeout(1.0)
         sim.run()

@@ -214,6 +214,24 @@ class TestBaselineSelectionAndFingerprint:
         comparison = compare_records(legacy, first.record.to_jsonable())
         assert comparison.comparable
 
+    def test_kernel_mismatch_gets_no_verdict(self, recorded):
+        """A compiled-kernel record is never judged against a
+        pure-Python one; records that predate the ``kernel`` key ran
+        the pure-Python kernel."""
+        first, _second = recorded
+        current = first.record.to_jsonable()
+        assert current["environment"]["kernel"] in ("c", "python")
+        legacy = dict(current, environment={
+            k: v for k, v in current["environment"].items()
+            if k != "kernel"})
+        compiled = dict(current, environment=dict(current["environment"],
+                                                  kernel="c"))
+        compiled["events_per_sec"] = current["events_per_sec"] * 2.0
+        comparison = compare_records(legacy, compiled)
+        assert not comparison.comparable
+        assert comparison.differences == {"kernel": ("python", "c")}
+        assert not comparison.regression
+
     def test_fastpath_mode_mismatch_is_informational(self, recorded):
         """Exact vs fast-path runs get no verdict (different simulated
         work) but the speedup ratio is still surfaced."""

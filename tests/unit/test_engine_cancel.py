@@ -4,27 +4,28 @@ The engine removes cancelled Timeouts from the timer wheel eagerly and
 compacts lazily-cancelled near-heap/overflow stragglers once they
 dominate.  Before that fix, a cancel-heavy arm/cancel loop (retry
 timers, watchdogs) grew the schedule without bound: every cancelled
-entry sat in the heap until its original deadline arrived.
+entry sat in the heap until its original deadline arrived.  Every
+test runs under each event kernel.
 """
 
-from repro.sim.engine import Simulator, _COMPACT_MIN
+from repro.sim.engine import _COMPACT_MIN
 from repro.sim.wheel import GRANULARITY
 
 
 class TestCancelledEntriesAreReclaimed:
-    def test_wheel_resident_cancel_is_eager(self):
+    def test_wheel_resident_cancel_is_eager(self, sim_class):
         """A cancelled far-future Timeout leaves the schedule at
         cancel time, not at its deadline."""
-        sim = Simulator()
+        sim = sim_class()
         ev = sim.timeout(10 * GRANULARITY)  # far enough to ride the wheel
         assert sim.pending_count() == 1
         assert ev.cancel() is True
         assert sim.pending_count() == 0
 
-    def test_arm_cancel_loop_keeps_pending_bounded(self):
+    def test_arm_cancel_loop_keeps_pending_bounded(self, sim_class):
         """The retry-timer pattern: arm a guard, cancel it, repeat.
         Pending entries must stay O(compaction window), not O(loop)."""
-        sim = Simulator()
+        sim = sim_class()
         high_water = 0
         for i in range(20_000):
             # Cycle through near-heap, L0/L1, and overflow residency.
@@ -38,8 +39,8 @@ class TestCancelledEntriesAreReclaimed:
         sim.run()
         assert sim.pending_count() == 0
 
-    def test_cancelled_timeout_never_fires(self):
-        sim = Simulator()
+    def test_cancelled_timeout_never_fires(self, sim_class):
+        sim = sim_class()
         fired = []
         live = sim.timeout(5.0)
         live.callbacks.append(lambda _e: fired.append("live"))
@@ -51,10 +52,11 @@ class TestCancelledEntriesAreReclaimed:
         assert fired == ["live"]
         assert sim.now == 5.0  # clock never advanced to dead deadlines
 
-    def test_cancel_interleaved_with_live_work_preserves_order(self):
+    def test_cancel_interleaved_with_live_work_preserves_order(self,
+                                                               sim_class):
         """Heavy cancellation around live timers must not perturb the
         survivors' fire order or drop any of them."""
-        sim = Simulator()
+        sim = sim_class()
         order = []
         for i in range(50):
             ev = sim.timeout(float(100 - i))  # reverse creation order
@@ -65,10 +67,10 @@ class TestCancelledEntriesAreReclaimed:
         assert order == list(range(49, -1, -1))
         assert sim.pending_count() == 0
 
-    def test_cancel_after_partial_run(self):
+    def test_cancel_after_partial_run(self, sim_class):
         """Entries already drained into the near heap are skipped at
         dispatch when cancelled mid-run."""
-        sim = Simulator()
+        sim = sim_class()
         fired = []
         early = sim.timeout(1.0)
         later = sim.timeout(2.0)

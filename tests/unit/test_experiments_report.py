@@ -1,7 +1,9 @@
 """Unit tests for ASCII report rendering."""
 
+from repro.experiments.executor import ExecutorStats
 from repro.experiments.figures import FigureResult, FigureSeries
 from repro.experiments.report import (
+    render_executor_stats,
     render_figure,
     render_run,
     render_t1,
@@ -9,6 +11,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.tables import TableRow
 from repro.metrics.summary import LatencySummary, RunMetrics, ThroughputSummary
+from repro.sim.engine import KERNEL
 
 
 class TestRenderTable:
@@ -90,3 +93,15 @@ class TestRenderRun:
     def test_handles_missing_latency(self):
         text = render_run("sys", self._metrics(with_latency=False))
         assert "n/a" in text
+
+
+class TestRenderExecutorStats:
+    def test_names_the_kernel_the_points_ran_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        line = render_executor_stats(ExecutorStats(), jobs=2)
+        assert line.startswith("[executor: jobs=2 points=0 ")
+        assert line.endswith(f" kernel={KERNEL.name}]")
+        # The sanitizing simulator runs the reference kernel.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert render_executor_stats(ExecutorStats()).endswith(
+            " kernel=python]")

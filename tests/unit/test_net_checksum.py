@@ -1,5 +1,7 @@
 """Unit tests for the checksum and Toeplitz hash implementations."""
 
+import random
+
 import pytest
 
 from repro.net.addressing import FiveTuple
@@ -103,3 +105,44 @@ class TestToeplitz:
 
     def test_zero_input_hashes_to_zero(self):
         assert toeplitz_hash_bytes(b"\x00" * 12, key=DEFAULT_RSS_KEY) == 0
+
+
+def _toeplitz_bitwise(key: bytes, data: bytes) -> int:
+    """The bit-at-a-time Toeplitz loop: the reference the table-driven
+    hash must match bit for bit."""
+    key_int = int.from_bytes(key, "big")
+    key_bits = len(key) * 8
+    result = 0
+    for byte_index, byte in enumerate(data):
+        for bit in range(8):
+            if byte & (0x80 >> bit):
+                shift = key_bits - 32 - (byte_index * 8 + bit)
+                result ^= (key_int >> shift) & 0xFFFFFFFF
+    return result
+
+
+class TestToeplitzTables:
+    @pytest.mark.parametrize("length", range(37))
+    def test_matches_bitwise_loop_on_random_inputs(self, length):
+        rng = random.Random(length)
+        for _ in range(20):
+            data = bytes(rng.randrange(256) for _ in range(length))
+            assert toeplitz_hash_bytes(data) \
+                == _toeplitz_bitwise(DEFAULT_RSS_KEY, data)
+
+    def test_matches_bitwise_loop_under_other_keys(self):
+        rng = random.Random(7)
+        for key_len in (16, 40, 52):
+            key = bytes(rng.randrange(256) for _ in range(key_len))
+            for length in range(key_len - 3):
+                data = bytes(rng.randrange(256) for _ in range(length))
+                assert toeplitz_hash_bytes(data, key=key) \
+                    == _toeplitz_bitwise(key, data)
+
+    def test_every_single_bit_input(self):
+        for position in range(12):
+            for bit in range(8):
+                data = bytearray(12)
+                data[position] = 0x80 >> bit
+                assert toeplitz_hash_bytes(data) \
+                    == _toeplitz_bitwise(DEFAULT_RSS_KEY, bytes(data))

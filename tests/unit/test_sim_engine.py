@@ -1,17 +1,22 @@
-"""Unit tests for the discrete-event loop."""
+"""Unit tests for the discrete-event loop, under each event kernel."""
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator
+
+
+@pytest.fixture
+def sim(sim_class):
+    """A fresh simulator on the kernel under test."""
+    return sim_class()
 
 
 class TestClock:
     def test_starts_at_zero(self, sim):
         assert sim.now == 0.0
 
-    def test_custom_start_time(self):
-        assert Simulator(start_time=500.0).now == 500.0
+    def test_custom_start_time(self, sim_class):
+        assert sim_class(start_time=500.0).now == 500.0
 
     def test_timeout_advances_clock(self, sim):
         sim.timeout(25.0)
@@ -58,9 +63,9 @@ class TestOrdering:
         sim.run()
         assert order == ["early", "late"]
 
-    def test_determinism_across_runs(self):
+    def test_determinism_across_runs(self, sim_class):
         def build_and_run():
-            sim = Simulator()
+            sim = sim_class()
             order = []
             for i in range(100):
                 ev = sim.timeout((i * 7) % 13)
