@@ -187,18 +187,6 @@ class BenchRecord:
             "detail": dict(self.detail),
         }
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, Any]) -> "BenchRecord":
-        """Rebuild a record from its artifact dict."""
-        return cls(name=data["name"], recorded_at=data["recorded_at"],
-                   environment=dict(data["environment"]),
-                   points=data["points"], events=data["events"],
-                   wall_s=data["wall_s"],
-                   events_per_sec=data["events_per_sec"],
-                   points_per_sec=data["points_per_sec"],
-                   metrics_digest=data["metrics_digest"],
-                   detail=dict(data.get("detail", {})))
-
 
 @dataclass
 class RecordedRun:

@@ -7,7 +7,7 @@ independently seeded universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -311,33 +311,17 @@ def measure_capacity(factory: SystemFactory,
     return metrics.throughput.achieved_rps
 
 
-class SaturationResult(float):
+@dataclass(frozen=True)
+class SaturationResult:
     """The saturation knee, plus every point probed on the way there.
 
-    Compares and arithmetics as a plain float (the knee rate), so
-    existing callers are untouched; ``probes`` maps each bisection
-    midpoint's offered rate to its full :class:`RunMetrics`, in probe
-    order, so callers and caches can reuse the measurements instead of
-    re-running them.
+    ``probes`` maps each bisection midpoint's offered rate to its full
+    :class:`RunMetrics`, in probe order, so callers and caches can
+    reuse the measurements instead of re-running them.
     """
 
-    probes: Dict[float, RunMetrics]
-
-    def __new__(cls, rate: float,
-                probes: Optional[Dict[float, RunMetrics]] = None
-                ) -> "SaturationResult":
-        result = super().__new__(cls, rate)
-        result.probes = dict(probes or {})
-        return result
-
-    @property
-    def rate_rps(self) -> float:
-        """The knee rate as a plain float."""
-        return float(self)
-
-    def __repr__(self) -> str:
-        return (f"SaturationResult({float(self)!r}, "
-                f"probes={len(self.probes)} points)")
+    rate_rps: float
+    probes: Dict[float, RunMetrics] = field(repr=False)
 
 
 def find_saturation(factory: SystemFactory,

@@ -7,8 +7,7 @@
  *
  *   - _push(when, priority, event): the one place the scheduling
  *     invariant lives -- seq += 1, the tie-break mix
- *     (seq * mult + add) mod 2**64, and the split between the near
- *     heap and the timer wheel;
+ *     (seq * mult + add) mod 2**64, and the push on the heap;
  *   - _loop(horizon, limit): the dispatch loop of Simulator.run;
  *   - timeout(delay, value=None, label="") and defer(delay, func, *args):
  *     the pooled factories;
@@ -48,11 +47,11 @@ static const char source_marker[] =
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
 /* Simulator slots. */
-static Py_ssize_t S_now, S_heap, S_near_end, S_wheel, S_seq, S_count,
-    S_tb_mult, S_tb_add, S_tpool, S_epool, S_dpool;
+static Py_ssize_t S_now, S_heap, S_seq, S_count, S_tb_mult, S_tb_add,
+    S_tpool, S_epool, S_dpool;
 /* Event, Timeout, _Deferred and Process slots. */
 static Py_ssize_t E_sim, E_callbacks, E_value, E_ok, E_state, E_label,
-    T_delay, T_when, D_func, D_args, P_generator, P_waiting_on;
+    T_delay, D_func, D_args, P_generator, P_waiting_on;
 
 static PyTypeObject *EventType, *TimeoutType, *DeferredType;
 static PyObject *SchedulingError;
@@ -62,8 +61,8 @@ static Py_ssize_t PoolCap;
 /* Event states (events.py: _PENDING, _TRIGGERED, _PROCESSED, _CANCELLED). */
 static PyObject *State[4];
 static PyObject *Zero, *One, *EmptyStr;
-static PyObject *str_push, *str_refill, *str_succeed, *str_fail,
-    *str_wait_on, *str_throw, *str_send, *str_value;
+static PyObject *str_succeed, *str_fail, *str_wait_on, *str_throw,
+    *str_send, *str_value;
 
 /* -- slot helpers ---------------------------------------------------------- */
 
@@ -149,7 +148,7 @@ is_negative(PyObject *delay)
     return PyObject_RichCompareBool(delay, Zero, Py_LT);
 }
 
-/* -- the near heap ----------------------------------------------------------
+/* -- the heap ---------------------------------------------------------------
  *
  * heapq's algorithms on the simulator's list, with the comparison
  * specialised to (when, priority, key, event) tuples.  Anything else
@@ -289,9 +288,8 @@ heap_pop(PyObject *heap)
 static int
 push(PyObject *sim, PyObject *when, PyObject *priority, PyObject *event)
 {
-    PyObject *seq_obj, *mult, *add, *key, *entry, *near_end, *heap;
+    PyObject *seq_obj, *mult, *add, *key, *entry, *heap;
     unsigned long long seq;
-    double w, end;
     int rc;
 
     if ((seq_obj = get_slot(sim, S_seq)) == NULL)
@@ -331,32 +329,16 @@ push(PyObject *sim, PyObject *when, PyObject *priority, PyObject *event)
     PyTuple_SET_ITEM(entry, 2, key);
     PyTuple_SET_ITEM(entry, 3, Py_NewRef(event));
 
-    if ((near_end = get_slot(sim, S_near_end)) == NULL
-            || as_double(when, &w) < 0 || as_double(near_end, &end) < 0) {
+    if ((heap = get_slot(sim, S_heap)) == NULL) {
         Py_DECREF(entry);
         return -1;
     }
-    if (w < end) {
-        if ((heap = get_slot(sim, S_heap)) == NULL) {
-            Py_DECREF(entry);
-            return -1;
-        }
-        if (!PyList_CheckExact(heap)) {
-            Py_DECREF(entry);
-            PyErr_SetString(PyExc_TypeError, "the near heap must be a list");
-            return -1;
-        }
-        rc = heap_push(heap, entry);
-    } else {
-        PyObject *wheel = get_slot(sim, S_wheel), *result;
-        if (wheel == NULL) {
-            Py_DECREF(entry);
-            return -1;
-        }
-        result = PyObject_CallMethodOneArg(wheel, str_push, entry);
-        rc = result == NULL ? -1 : 0;
-        Py_XDECREF(result);
+    if (!PyList_CheckExact(heap)) {
+        Py_DECREF(entry);
+        PyErr_SetString(PyExc_TypeError, "the heap must be a list");
+        return -1;
     }
+    rc = heap_push(heap, entry);
     Py_DECREF(entry);
     return rc;
 }
@@ -384,7 +366,7 @@ kernel_timeout(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
     PyObject *arg[3] = {NULL, Py_None, EmptyStr};
     PyObject *pool, *ev, *now, *when;
     Py_ssize_t i, nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
-    int negative;
+    int negative, rc;
 
     if (nargs > 3) {
         PyErr_Format(PyExc_TypeError,
@@ -438,8 +420,9 @@ kernel_timeout(PyObject *sim, PyObject *const *args, Py_ssize_t nargs,
     if ((now = get_slot(sim, S_now)) == NULL
             || (when = add_time(now, arg[0])) == NULL)
         goto error;
-    set_slot_steal(ev, T_when, when);
-    if (push(sim, when, Normal, ev) < 0)
+    rc = push(sim, when, Normal, ev);
+    Py_DECREF(when);
+    if (rc < 0)
         goto error;
     return ev;
 error:
@@ -861,7 +844,7 @@ kernel_loop(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
     if (!PyList_CheckExact(heap) || !PyList_CheckExact(tpool)
             || !PyList_CheckExact(epool) || !PyList_CheckExact(dpool)) {
         PyErr_SetString(PyExc_TypeError,
-                        "the near heap and the pools must be lists");
+                        "the heap and the pools must be lists");
         return NULL;
     }
     count = PyLong_AsLongLong(count_obj);
@@ -872,54 +855,38 @@ kernel_loop(PyObject *sim, PyObject *const *args, Py_ssize_t nargs)
     Py_INCREF(epool);
     Py_INCREF(dpool);
 
-    for (;;) {
-        while (PyList_GET_SIZE(heap) > 0) {
-            PyObject *top = PyList_GET_ITEM(heap, 0), *entry, *when, *event;
-            double t;
-            int rc;
-            if (!PyTuple_CheckExact(top) || PyTuple_GET_SIZE(top) != 4) {
-                PyErr_SetString(PyExc_TypeError,
-                                "schedule entries must be 4-tuples");
-                failed = 1;
-                goto done;
-            }
-            if (as_double(PyTuple_GET_ITEM(top, 0), &t) < 0) {
-                failed = 1;
-                goto done;
-            }
-            if (t > horizon)
-                goto done;
-            if ((entry = heap_pop(heap)) == NULL) {
-                failed = 1;
-                goto done;
-            }
-            when = Py_NewRef(PyTuple_GET_ITEM(entry, 0));
-            event = Py_NewRef(PyTuple_GET_ITEM(entry, 3));
-            Py_DECREF(entry);
-            rc = dispatch(sim, when, event, tpool, epool, dpool, &count);
-            Py_DECREF(when);
-            Py_DECREF(event);
-            if (rc < 0) {
-                failed = 1;
-                goto done;
-            }
-            if ((double)count > limit)
-                goto done;
-        }
-        PyObject *more = PyObject_CallMethodNoArgs(sim, str_refill);
-        int truth;
-        if (more == NULL) {
+    while (PyList_GET_SIZE(heap) > 0) {
+        PyObject *top = PyList_GET_ITEM(heap, 0), *entry, *when, *event;
+        double t;
+        int rc;
+        if (!PyTuple_CheckExact(top) || PyTuple_GET_SIZE(top) != 4) {
+            PyErr_SetString(PyExc_TypeError,
+                            "schedule entries must be 4-tuples");
             failed = 1;
             goto done;
         }
-        truth = PyObject_IsTrue(more);
-        Py_DECREF(more);
-        if (truth < 0) {
+        if (as_double(PyTuple_GET_ITEM(top, 0), &t) < 0) {
             failed = 1;
             goto done;
         }
-        if (!truth)
-            break;
+        if (t > horizon)
+            goto done;
+        if ((entry = heap_pop(heap)) == NULL) {
+            failed = 1;
+            goto done;
+        }
+        when = Py_NewRef(PyTuple_GET_ITEM(entry, 0));
+        event = Py_NewRef(PyTuple_GET_ITEM(entry, 3));
+        Py_DECREF(entry);
+        rc = dispatch(sim, when, event, tpool, epool, dpool, &count);
+        Py_DECREF(when);
+        Py_DECREF(event);
+        if (rc < 0) {
+            failed = 1;
+            goto done;
+        }
+        if ((double)count > limit)
+            goto done;
     }
 done:
     Py_DECREF(heap);
@@ -999,7 +966,6 @@ kernel_bind(PyObject *module, PyObject *args)
     Py_ssize_t cap;
     struct { Py_ssize_t *out; PyObject **type; const char *name; } slots[] = {
         {&S_now, &sim, "_now"}, {&S_heap, &sim, "_heap"},
-        {&S_near_end, &sim, "_near_end"}, {&S_wheel, &sim, "_wheel"},
         {&S_seq, &sim, "_seq"}, {&S_count, &sim, "_event_count"},
         {&S_tb_mult, &sim, "_tb_mult"}, {&S_tb_add, &sim, "_tb_add"},
         {&S_tpool, &sim, "_timeout_pool"}, {&S_epool, &sim, "_event_pool"},
@@ -1007,7 +973,7 @@ kernel_bind(PyObject *module, PyObject *args)
         {&E_sim, &event, "sim"}, {&E_callbacks, &event, "callbacks"},
         {&E_value, &event, "_value"}, {&E_ok, &event, "_ok"},
         {&E_state, &event, "_state"}, {&E_label, &event, "label"},
-        {&T_delay, &timeout, "delay"}, {&T_when, &timeout, "when"},
+        {&T_delay, &timeout, "delay"},
         {&D_func, &deferred, "func"}, {&D_args, &deferred, "args"},
         {&P_generator, &process, "_generator"},
         {&P_waiting_on, &process, "_waiting_on"},
@@ -1094,8 +1060,6 @@ PyInit__kernel(void)
     Zero = State[0];
     One = State[1];
     if ((EmptyStr = PyUnicode_FromString("")) == NULL
-            || intern(&str_push, "push") < 0
-            || intern(&str_refill, "_refill") < 0
             || intern(&str_succeed, "succeed") < 0
             || intern(&str_fail, "fail") < 0
             || intern(&str_wait_on, "_wait_on") < 0

@@ -1,32 +1,22 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` owns the clock and a two-tier schedule: a small
-*near* binary heap for the currently-draining time window plus a
-hierarchical :class:`~repro.sim.wheel.TimerWheel` for everything beyond
-it.  Time is in nanoseconds (see :mod:`repro.units`).  Events scheduled
-for the same instant are processed in FIFO order of scheduling (a
-strictly increasing sequence number breaks ties), which makes runs
-fully deterministic for a fixed seed.
+:class:`Simulator` owns the clock and the schedule, one binary heap of
+``(when, priority, key, event)`` entries.  Time is in nanoseconds (see
+:mod:`repro.units`).  Events scheduled for the same instant are
+processed in FIFO order of scheduling (a strictly increasing sequence
+number breaks ties), which makes runs fully deterministic for a fixed
+seed.
 
 Hot-path design
 ---------------
 A fig2-scale sweep dispatches millions of events, so the kernel keeps
 its constant factors small without ever changing *what* is scheduled:
 
-- The schedule is split at ``_near_end``: entries below the boundary
-  ride the near heap (identical semantics to the old single-heap
-  kernel), entries at/after it are O(1) bucket appends on the wheel.
-  Batches drain whole slot windows at a time, so heap sifts act on
-  tens of entries instead of the full pending set.  The boundary split
-  cannot reorder anything: equal timestamps never straddle it, so the
-  merged pop order is exactly the single-heap (time, priority, seq)
-  total order — pinned by the golden differential tests and the
-  wheel-vs-heap property suite.
 - Every push goes through one entry point, :meth:`Simulator._push`:
   it takes the next sequence number, mixes it through the tie-break
-  policy and files the entry on the heap or the wheel.  Events,
-  timeouts and the store/signal primitives all call it, so the
-  scheduling invariant is written down once per kernel.
+  policy and pushes the entry on the heap.  Events, timeouts and the
+  store/signal primitives all call it, so the scheduling invariant is
+  written down once per kernel.
 - :meth:`Simulator.run` dispatches through the inline loop
   :meth:`Simulator._loop` (no per-event :meth:`step` call) whenever
   ``step`` has not been overridden; instrumented subclasses get the
@@ -42,12 +32,11 @@ its constant factors small without ever changing *what* is scheduled:
   they consume exactly one sequence number and one schedule push, just
   like :meth:`call_in` / :meth:`call_at`, so swapping one for the other
   cannot reorder a run.
-- Cancelled events (:meth:`Event.cancel`) are eagerly removed from
-  wheel buckets; entries already in the near heap or the far-future
-  overflow heap are skipped at dispatch — without advancing the event
-  count — and compacted away once they dominate, so cancel-heavy
-  workloads (timeout/retry fault plans, preemption slices) cannot grow
-  the queue.
+- Cancelled events (:meth:`Event.cancel`) stay in the heap and are
+  skipped at dispatch — without advancing the event count — and
+  compacted away once they dominate, so cancel-heavy workloads
+  (timeout/retry fault plans, preemption slices) cannot grow the
+  queue.
 
 None of this changes the number or order of schedule pushes — the
 determinism contract is pinned by the golden differential tests.
@@ -81,7 +70,6 @@ from repro.sim import kernel
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.tiebreak import FIFO, TB_MASK, TieBreakPolicy
-from repro.sim.wheel import GRANULARITY, TimerWheel
 
 #: Priority levels: lower runs first among simultaneous events.
 URGENT = 0
@@ -91,8 +79,9 @@ NORMAL = 1
 #: small enough that an idle simulator holds no meaningful memory.
 _POOL_CAP = 4096
 
-#: Near-heap compaction threshold for lazily-cancelled entries (same
-#: heuristic as the wheel's overflow compaction).
+#: Compaction heuristic for lazily-cancelled heap entries: rebuild only
+#: once the dead entries are both absolutely and relatively many, which
+#: keeps the amortized cost O(1) per cancel.
 _COMPACT_MIN = 64
 
 
@@ -131,19 +120,14 @@ class Simulator:
     5.0
     """
 
-    __slots__ = ("_now", "_heap", "_near_end", "_wheel", "_seq",
+    __slots__ = ("_now", "_heap", "_seq",
                  "_event_count", "_running", "fault_injector",
                  "_timeout_pool", "_event_pool", "_deferred_pool",
-                 "_near_cancelled", "_tiebreak", "_tb_mult", "_tb_add")
+                 "_cancelled", "_tiebreak", "_tb_mult", "_tb_add")
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list = []
-        self._wheel = TimerWheel(self._now)
-        #: Entries with ``when < _near_end`` go to the near heap; the
-        #: rest to the wheel.  Always equals ``wheel.cur0 *
-        #: GRANULARITY`` between batch refills.
-        self._near_end = self._wheel.near_end
         self._seq = 0
         self._event_count = 0
         self._running = False
@@ -156,8 +140,8 @@ class Simulator:
         self._timeout_pool: list = []
         self._event_pool: list = []
         self._deferred_pool: list = []
-        #: Lazily-cancelled entries believed to ride the near heap.
-        self._near_cancelled = 0
+        #: Lazily-cancelled entries believed to still sit in the heap.
+        self._cancelled = 0
         #: Tie-break policy: equal-(when, priority) events dispatch in
         #: ``(seq * _tb_mult + _tb_add) & TB_MASK`` order.  The default
         #: identity (mult 1, add 0) is byte-identical FIFO; ``_push``,
@@ -191,7 +175,7 @@ class Simulator:
         Must be called before anything is scheduled: mixing keys from
         two policies in one schedule would break the total order.
         """
-        if self._seq or self._heap or self._wheel.count:
+        if self._seq or self._heap:
             raise SimulationError(
                 "set_tiebreak() after scheduling began; install the "
                 "policy on a fresh simulator")
@@ -226,8 +210,7 @@ class Simulator:
             ev._state = 1
             ev.label = label
             ev.delay = delay
-            ev.when = when = self._now + delay
-            self._push(when, NORMAL, ev)
+            self._push(self._now + delay, NORMAL, ev)
             return ev
         return Timeout(self, delay, value=value, label=label)
 
@@ -305,15 +288,12 @@ class Simulator:
 
         The one definition of the scheduling invariant in this kernel:
         every push takes the next sequence number, mixes it through the
-        tie-break policy into the entry's key, and files the entry on
-        the near heap below ``_near_end`` or on the wheel at/after it.
+        tie-break policy into the entry's key, and pushes the entry on
+        the heap.
         """
         self._seq = seq = self._seq + 1
         key = (seq * self._tb_mult + self._tb_add) & TB_MASK
-        if when < self._near_end:
-            heappush(self._heap, (when, priority, key, event))
-        else:
-            self._wheel.push((when, priority, key, event))
+        heappush(self._heap, (when, priority, key, event))
 
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
@@ -322,47 +302,25 @@ class Simulator:
             raise SchedulingError(f"negative delay: {delay}")
         self._push(self._now + delay, priority, event)
 
-    def _refill(self) -> bool:
-        """Move the next wheel batch into the (empty) near heap.
-
-        Returns False when the wheel is drained too.  Mutates the heap
-        list in place so aliases held by hot loops stay valid.
-        """
-        batch = self._wheel.next_batch()
-        if batch is None:
-            return False
-        entries, end = batch
-        self._near_end = end
-        heap = self._heap
-        heap[:] = entries
-        if len(entries) > 1:
-            heapify(heap)
-        return True
-
     def _cancel(self, event: Event) -> None:
         """Withdraw *event*'s schedule entry (hook for Event.cancel).
 
-        Timeouts record their absolute deadline, so wheel residents are
-        removed eagerly in O(bucket).  Entries already in the near heap
-        (or events without a recorded deadline) are skipped at dispatch
-        and compacted away once they dominate the heap.
+        The entry stays in the heap: it is skipped at dispatch, and
+        compacted away once cancelled entries dominate the heap.
         """
-        when = getattr(event, "when", None)
-        if when is not None and self._wheel.discard(event, when):
-            return
-        self._near_cancelled = dead = self._near_cancelled + 1
+        self._cancelled = dead = self._cancelled + 1
         if dead > _COMPACT_MIN and dead * 2 > len(self._heap):
-            self._compact_near()
+            self._compact()
 
-    def _compact_near(self) -> None:
-        """Drop cancelled entries from the near heap in one pass."""
+    def _compact(self) -> None:
+        """Drop cancelled entries from the heap in one pass."""
         heap = self._heap
         live = [entry for entry in heap
                 if type(entry[3]) is _Deferred or entry[3]._state != 3]
         if len(live) != len(heap):
             heap[:] = live
             heapify(heap)
-        self._near_cancelled = 0
+        self._cancelled = 0
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle.
@@ -371,22 +329,19 @@ class Simulator:
         reported; nothing will actually happen at that instant.
         """
         heap = self._heap
-        if heap:
-            return heap[0][0]
-        return self._wheel.peek_when()
+        return heap[0][0] if heap else float("inf")
 
     def pending_count(self) -> int:
-        """Entries still in the schedule (near heap + wheel).
+        """Entries still in the schedule.
 
         Includes lazily-cancelled stragglers not yet compacted away.
         """
-        return len(self._heap) + self._wheel.count
+        return len(self._heap)
 
     def pending_entries(self) -> Iterator[tuple]:
         """All pending schedule tuples, in no particular order
         (diagnostics and tests)."""
         yield from self._heap
-        yield from self._wheel.entries()
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -396,7 +351,7 @@ class Simulator:
         """
         heap = self._heap
         while True:
-            if not heap and not self._refill():
+            if not heap:
                 raise SimulationError("step() on an empty schedule")
             when, _prio, _seq, event = heappop(heap)
             if type(event) is _Deferred:
@@ -410,9 +365,9 @@ class Simulator:
                 func(*args)
                 return
             if event._state == 3:  # cancelled: drop and keep looking
-                dead = self._near_cancelled
+                dead = self._cancelled
                 if dead > 0:
-                    self._near_cancelled = dead - 1
+                    self._cancelled = dead - 1
                 continue
             self._now = when
             self._event_count += 1
@@ -475,65 +430,61 @@ class Simulator:
         schedule drains, or the event count passes *limit*."""
         heap = self._heap
         pop = heappop
-        refill = self._refill
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         deferred_pool = self._deferred_pool
         count = self._event_count
         try:
-            while True:
-                while heap:
-                    if heap[0][0] > horizon:
-                        return
-                    when, _prio, _seq, event = pop(heap)
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if event._state == 3:  # cancelled: vanish
-                            continue
-                        self._now = when
-                        count += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._state = 2
-                        for callback in callbacks:
-                            callback(event)
-                        # Recycle only exact-class events the kernel holds the
-                        # last reference to (local + getrefcount argument = 2):
-                        # anything user code kept a handle on stays untouched.
-                        # The detached callbacks list rides along (cleared), so
-                        # pooled events always carry an empty list ready to use.
+            while heap:
+                if heap[0][0] > horizon:
+                    return
+                when, _prio, _seq, event = pop(heap)
+                cls = event.__class__
+                if cls is Timeout:
+                    if event._state == 3:  # cancelled: vanish
+                        continue
+                    self._now = when
+                    count += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    event._state = 2
+                    for callback in callbacks:
+                        callback(event)
+                    # Recycle only exact-class events the kernel holds the
+                    # last reference to (local + getrefcount argument = 2):
+                    # anything user code kept a handle on stays untouched.
+                    # The detached callbacks list rides along (cleared), so
+                    # pooled events always carry an empty list ready to use.
+                    if getrefcount(event) == 2 and \
+                            len(timeout_pool) < _POOL_CAP:
+                        del callbacks[:]
+                        event.callbacks = callbacks
+                        event._value = None
+                        timeout_pool.append(event)
+                elif cls is _Deferred:
+                    self._now = when
+                    count += 1
+                    func, args = event.func, event.args
+                    event.func = event.args = None
+                    if len(deferred_pool) < _POOL_CAP:
+                        deferred_pool.append(event)
+                    func(*args)
+                else:
+                    if event._state == 3:  # cancelled: vanish
+                        continue
+                    self._now = when
+                    count += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    event._state = 2
+                    for callback in callbacks:
+                        callback(event)
+                    if cls is Event:
                         if getrefcount(event) == 2 and \
-                                len(timeout_pool) < _POOL_CAP:
+                                len(event_pool) < _POOL_CAP:
                             del callbacks[:]
                             event.callbacks = callbacks
                             event._value = None
-                            timeout_pool.append(event)
-                    elif cls is _Deferred:
-                        self._now = when
-                        count += 1
-                        func, args = event.func, event.args
-                        event.func = event.args = None
-                        if len(deferred_pool) < _POOL_CAP:
-                            deferred_pool.append(event)
-                        func(*args)
-                    else:
-                        if event._state == 3:  # cancelled: vanish
-                            continue
-                        self._now = when
-                        count += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._state = 2
-                        for callback in callbacks:
-                            callback(event)
-                        if cls is Event:
-                            if getrefcount(event) == 2 and \
-                                    len(event_pool) < _POOL_CAP:
-                                del callbacks[:]
-                                event.callbacks = callbacks
-                                event._value = None
-                                event_pool.append(event)
-                    if count > limit:
-                        return
-                if not refill():
+                            event_pool.append(event)
+                if count > limit:
                     return
         finally:
             self._event_count = count
@@ -558,21 +509,16 @@ class Simulator:
                 # check below sees the next *live* event (step() would
                 # otherwise skip past the horizon inside one call).
                 head = None
-                while True:
-                    if not heap:
-                        if not self._refill():
-                            break
-                        continue
+                while heap:
                     head = heap[0]
                     event = head[3]
-                    if type(event) is not _Deferred and event._state == 3:
-                        heappop(heap)
-                        dead = self._near_cancelled
-                        if dead > 0:
-                            self._near_cancelled = dead - 1
-                        head = None
-                        continue
-                    break
+                    if type(event) is _Deferred or event._state != 3:
+                        break
+                    heappop(heap)
+                    dead = self._cancelled
+                    if dead > 0:
+                        self._cancelled = dead - 1
+                    head = None
                 if head is None:
                     break  # schedule drained
                 if until is not None and head[0] > until:
@@ -597,7 +543,7 @@ class Simulator:
         """
         processed = 0
         while not event.processed:
-            if not self._heap and not self._refill():
+            if not self._heap:
                 raise SimulationError(
                     f"schedule drained before {event!r} was processed")
             self.step()

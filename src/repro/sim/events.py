@@ -10,9 +10,8 @@ Processes wait on events by ``yield``-ing them; the kernel resumes the
 process with the event's value, or throws the event's exception into it.
 
 A ``TRIGGERED`` event can additionally be withdrawn via
-:meth:`Event.cancel` (state ``CANCELLED``): its entry is removed from
-the schedule — eagerly when it sits in a timer-wheel bucket, lazily
-skipped at dispatch otherwise — and its callbacks never run.
+:meth:`Event.cancel` (state ``CANCELLED``): its schedule entry is
+skipped at dispatch, and its callbacks never run.
 
 Hot-path note: state lives internally as a small int (``_PENDING`` /
 ``_TRIGGERED`` / ``_PROCESSED`` / ``_CANCELLED``) because millions of
@@ -146,10 +145,9 @@ class Event:
         """Withdraw a triggered-but-unprocessed event from the schedule.
 
         Returns True when the event was still awaiting dispatch; its
-        callbacks will never run.  Timeouts record their deadline, so
-        wheel-resident entries are removed eagerly; anything else is
-        skipped (uncounted, clock untouched where possible) when its
-        entry surfaces, and compacted away under cancel-heavy load.
+        callbacks will never run.  Its schedule entry is skipped
+        (uncounted, clock untouched where possible) when it surfaces,
+        and compacted away under cancel-heavy load.
         Pending or already-processed events return False unchanged.
         A cancelled event is never recycled through the kernel pools.
         """
@@ -178,7 +176,7 @@ class Timeout(Event):
     exactly this field layout.
     """
 
-    __slots__ = ("delay", "when")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  label: str = ""):
@@ -191,10 +189,7 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self.label = label
         self.delay = delay
-        # The absolute deadline is kept on the event so cancel() can
-        # locate its wheel bucket without a search.
-        self.when = when = sim._now + delay
-        sim._push(when, _NORMAL, self)
+        sim._push(sim._now + delay, _NORMAL, self)
 
 
 class _Condition(Event):

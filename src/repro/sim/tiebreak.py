@@ -29,8 +29,7 @@ ties don't matter" into a checked property (see
 Every push honors the policy, because every push goes through the
 kernel's one entry point, ``Simulator._push`` (pure Python in
 :mod:`repro.sim.engine`, compiled in ``_kernel.c``); keys are baked
-into the schedule tuple before it reaches the near heap or the timer
-wheel.
+into the schedule tuple before it reaches the heap.
 """
 
 from __future__ import annotations

@@ -168,9 +168,5 @@ class BaseSystem:
 
     # -- diagnostics -------------------------------------------------------------------
 
-    def total_completed(self) -> int:
-        """Requests completed across all workers."""
-        return sum(worker.completed for worker in self.workers)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} workers={len(self.workers)}>"

@@ -124,55 +124,3 @@ def test_sanitized_and_fast_loop_agree_point_by_point(monkeypatch):
         factory, rate, DIST, CONFIG, sanitize=True)
     assert metrics_to_jsonable(fast) == metrics_to_jsonable(sanitized)
     assert fast_events == sanitized_events
-
-
-def test_golden_point_invariant_to_wheel_granularity(forced_sanitize,
-                                                     monkeypatch):
-    """A golden point, sanitized, with the timer wheel forced hot.
-
-    Shrinking the wheel granularity moves schedule entries from the
-    near heap into the wheel buckets (and back through cascade/refill),
-    i.e. exercises a completely different container path for the same
-    simulation.  The metrics image and digest must not notice: heap
-    order and wheel order are the same total order, including the
-    tie-break keys baked into each entry.
-    """
-    import repro.sim.wheel as wheel_mod
-    from repro.bench.recorder import metrics_digest
-    from repro.experiments.harness import run_point_with_events
-
-    name = "shinjuku"
-    factory = ConfiguredFactory.by_name(name, GOLDEN_CONFIGS[name])
-    point = GOLDEN["systems"][name][0]
-    rate = float.fromhex(point["rate_rps"])
-
-    default_metrics, default_events = run_point_with_events(
-        factory, rate, DIST, CONFIG)
-    assert metrics_to_jsonable(default_metrics) == point["metrics"]
-
-    wheel_pushes = []
-    original_push = wheel_mod.TimerWheel.push
-
-    def counting_push(self, entry):
-        wheel_pushes.append(entry[0])
-        return original_push(self, entry)
-
-    monkeypatch.setattr(wheel_mod.TimerWheel, "push", counting_push)
-    # Power of two required (exact float division in bucket indexing).
-    monkeypatch.setattr(wheel_mod, "GRANULARITY", 2048.0)
-    wheel_metrics, wheel_events = run_point_with_events(
-        factory, rate, DIST, CONFIG)
-    assert wheel_pushes, "granularity squeeze never reached the wheel"
-    assert metrics_to_jsonable(wheel_metrics) == point["metrics"]
-    assert wheel_events == default_events
-    assert metrics_digest([wheel_metrics]) \
-        == metrics_digest([default_metrics])
-
-    # And the pooled fast loop agrees with the stepwise sanitized loop
-    # under the squeezed wheel too.
-    fast_metrics, fast_events = run_point_with_events(
-        factory, rate, DIST, CONFIG, sanitize=False)
-    assert metrics_to_jsonable(fast_metrics) == point["metrics"]
-    assert fast_events == wheel_events
-    # Both sanitized runs really engaged the sanitizer.
-    assert len(forced_sanitize) == 2

@@ -120,7 +120,7 @@ class TestCapacityAndSaturation:
         knee = find_saturation(_valet_factory(workers=2), Fixed(us(2.0)),
                                lo_rps=50e3, hi_rps=3e6, config=FAST,
                                iterations=6)
-        assert knee == pytest.approx(capacity, rel=0.35)
+        assert knee.rate_rps == pytest.approx(capacity, rel=0.35)
 
     def test_find_saturation_validates_bounds(self):
         with pytest.raises(ExperimentError):
@@ -135,7 +135,6 @@ class TestCapacityAndSaturation:
                                lo_rps=50e3, hi_rps=3e6, config=FAST,
                                iterations=iterations)
         assert isinstance(knee, SaturationResult)
-        assert isinstance(knee, float)  # old callers unaffected
         assert len(knee.probes) == iterations
         # Each probe is the exact RunMetrics a direct run would yield.
         for rate, metrics in knee.probes.items():
@@ -143,7 +142,7 @@ class TestCapacityAndSaturation:
                                         Fixed(us(2.0)), FAST)
         # The knee itself is one of the probed rates (the best passing
         # midpoint), so callers can look its metrics up directly.
-        assert float(knee) in knee.probes or float(knee) == 0.0
+        assert knee.rate_rps in knee.probes or knee.rate_rps == 0.0
 
 
 class TestRunPointWithEvents:

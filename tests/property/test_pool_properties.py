@@ -68,6 +68,46 @@ class TestFifoStabilityAcrossRecycling:
             assert order == expected, f"cycle {cycle} reordered"
 
 
+
+class TestEngineOrderUnderRecycling:
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e7,
+                                        allow_nan=False,
+                                        allow_infinity=False),
+                              st.booleans()),
+                    min_size=1, max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_timeout_cancel_rearm_fires_in_stable_order(self, sim_class,
+                                                        plan):
+        """Full-engine check: randomized delays, cancellations, and
+        re-armed replacements fire in stable (time, creation) order.
+        Two drain cycles run the second on recycled pooled objects."""
+        sim = sim_class()
+        for cycle in range(2):
+            order = []
+            start = sim.now
+            handles = []
+            created = []  # (when, tag) in creation == seq order
+            for i, (delay, cancel) in enumerate(plan):
+                ev = sim.timeout(delay)
+                ev.callbacks.append(lambda _e, i=i: order.append(i))
+                handles.append((ev, cancel))
+                created.append((start + delay, i, cancel))
+            for ev, cancel in handles:
+                if cancel:
+                    assert ev.cancel() is True
+            for j, (ev, cancel) in enumerate(handles):
+                if cancel:  # re-arm a replacement for each cancel
+                    redo = sim.timeout(float(j) * 31.0)
+                    redo.callbacks.append(
+                        lambda _e, j=j: order.append(1000 + j))
+                    created.append((start + float(j) * 31.0,
+                                    1000 + j, False))
+            sim.run()
+            expected = [tag for _w, tag, cancel in
+                        sorted(created, key=lambda c: c[0])
+                        if not cancel]
+            assert order == expected, f"cycle {cycle} reordered"
+
 class TestNoReuseWhileScheduled:
     @given(st.lists(st.sampled_from(["timeout", "event", "defer", "run"]),
                     min_size=1, max_size=80),
