@@ -5,30 +5,22 @@ preemption time slice is 10 µs; Shinjuku runs 3 workers (networker +
 dispatcher burn a host core), Shinjuku-Offload runs 4 workers with up
 to 4 outstanding requests.
 
-This bench routes through the same recorder as ``repro bench fig2``:
-it appends a record (events/sec, wall time, environment fingerprint,
-metrics digest) to ``BENCH_fig2.json``, so pytest-run and CLI-run
-benches build one shared perf trajectory.
-
 Shape criteria (recorded in EXPERIMENTS.md):
 - both systems hold a bounded p99 under dispersion until their knees;
 - Shinjuku-Offload sustains at least as much load as Shinjuku.
 """
 
-from conftest import emit, record_bench
+from conftest import emit
 
+from repro.experiments.figures import figure2
 from repro.experiments.report import render_figure
 
 
-def test_figure2_bimodal(benchmark):
-    run = benchmark.pedantic(lambda: record_bench("fig2"),
-                             rounds=1, iterations=1)
-    result = run.payload
+def test_figure2_bimodal(benchmark, run_config, scale, executor):
+    result = benchmark.pedantic(
+        lambda: figure2(config=run_config, scale=scale, executor=executor),
+        rounds=1, iterations=1)
     emit(render_figure(result))
-    emit(f"bench record -> {run.path}\n"
-         f"  {run.record.events:,} events in {run.record.wall_s:.2f}s "
-         f"({run.record.events_per_sec:,.0f} events/sec), digest "
-         f"{run.record.metrics_digest[:16]}")
 
     by_name = {s.system_name: s for s in result.sweeps}
     shinjuku = by_name["Shinjuku"]

@@ -8,17 +8,7 @@ smoothest curves, smaller values run faster with more sampling noise.
 ``REPRO_BENCH_JOBS`` (int, default 1) fans sweep points across that
 many worker processes, and ``REPRO_BENCH_CACHE_DIR`` (a path, default
 unset) caches point results on disk so re-running a bench skips
-already-measured points.  ``REPRO_BENCH_PROGRESS`` (truthy, default
-unset) streams per-point progress events through the suite's executor,
-measuring the observability layer under the bench clock.  Results are
-bit-identical in every mode.
-
-Benches that share a suite with ``repro bench`` (currently the fig2
-sweep) record through :func:`repro.bench.recorder.record_suite` with
-exactly these env-derived knobs, so a pytest bench run and a CLI
-``repro bench`` run append records to the same ``BENCH_<name>.json``
-artifact (``$REPRO_BENCH_DIR`` or ``./benchmarks/artifacts``) with the
-same environment fingerprint and metrics digest.
+already-measured points.  Results are bit-identical in every mode.
 
 ``REPRO_SANITIZE`` (truthy, default unset) runs every point on the
 observation-only sanitizing simulator (see
@@ -68,33 +58,6 @@ def bench_jobs() -> int:
 
 def bench_cache_dir() -> Optional[str]:
     return os.environ.get("REPRO_BENCH_CACHE_DIR") or None
-
-
-def bench_progress() -> bool:
-    """``REPRO_BENCH_PROGRESS`` (truthy): stream progress events while
-    suites run, measuring the observability layer's overhead."""
-    return os.environ.get("REPRO_BENCH_PROGRESS", "") not in ("", "0")
-
-
-def bench_options() -> "BenchOptions":
-    """The recorder knobs this pytest session runs under.
-
-    One definition for both entry points: ``repro bench`` builds its
-    :class:`~repro.bench.recorder.BenchOptions` from CLI flags, the
-    pytest benches from the ``REPRO_BENCH_*`` env vars — identical
-    values produce identical artifact records (modulo wall clock).
-    """
-    from repro.bench.recorder import BenchOptions
-    return BenchOptions(scale=bench_scale(), seed=42, jobs=bench_jobs(),
-                        cache_dir=bench_cache_dir(),
-                        progress=bench_progress())
-
-
-def record_bench(name: str):
-    """Run suite *name* through the shared recorder and append its
-    record to the suite's ``BENCH_<name>.json`` artifact."""
-    from repro.bench.recorder import record_suite
-    return record_suite(name, bench_options())
 
 
 @pytest.fixture(scope="session")

@@ -1,66 +1,5 @@
-"""Benchmark recording and perf-trajectory comparison.
+"""Run digests (:mod:`repro.bench.recorder`).
 
-``repro bench <suite>`` (and the pytest benches under ``benchmarks/``,
-via the shared conftest) measure a named suite and append the result to
-``BENCH_<suite>.json``; ``--compare`` then holds the newest run against
-its predecessor, flagging slowdowns past a threshold and any metric
-drift.  See :mod:`repro.bench.recorder` for the artifact format,
-:mod:`repro.bench.suites` for the suite catalog, and
-:mod:`repro.bench.compare` for the verdict logic.
+Speed is measured by the repo benchmark in ``perfbench/``; this package
+only holds the digests that golden tests and that benchmark compare.
 """
-
-from repro.bench.compare import (
-    DEFAULT_THRESHOLD,
-    BenchComparison,
-    compare_last,
-    compare_records,
-    render_comparison,
-)
-from repro.bench.recorder import (
-    ARTIFACT_DIR_ENV,
-    ARTIFACT_SCHEMA,
-    TIMING_FIELDS,
-    BenchOptions,
-    BenchRecord,
-    RecordedRun,
-    SuiteResult,
-    append_record,
-    artifact_filename,
-    default_artifact_dir,
-    empty_artifact,
-    load_artifact,
-    measure_suite,
-    metrics_digest,
-    record_suite,
-    save_artifact,
-    validate_artifact,
-)
-from repro.bench.suites import BenchSuite, get_suite, list_suites
-
-__all__ = [
-    "ARTIFACT_DIR_ENV",
-    "ARTIFACT_SCHEMA",
-    "DEFAULT_THRESHOLD",
-    "TIMING_FIELDS",
-    "BenchComparison",
-    "BenchOptions",
-    "BenchRecord",
-    "BenchSuite",
-    "RecordedRun",
-    "SuiteResult",
-    "append_record",
-    "artifact_filename",
-    "compare_last",
-    "compare_records",
-    "default_artifact_dir",
-    "empty_artifact",
-    "get_suite",
-    "list_suites",
-    "load_artifact",
-    "measure_suite",
-    "metrics_digest",
-    "record_suite",
-    "render_comparison",
-    "save_artifact",
-    "validate_artifact",
-]

@@ -169,35 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "crash=WID@US, stall=WID@US+US, queue-cap=N, ...)")
     add_executor_args(run_parser)
 
-    bench_parser = sub.add_parser(
-        "bench", help="record a benchmark suite into BENCH_<name>.json "
-                      "(events/sec, points/sec, wall time, environment "
-                      "fingerprint, metrics digest)")
-    bench_parser.add_argument(
-        "suite", nargs="?", default=None, metavar="SUITE",
-        help="suite to measure: fig2, systems, engine, or system:<name>")
-    bench_parser.add_argument(
-        "--list", action="store_true", dest="list_suites",
-        help="print the suite catalog and exit")
-    bench_parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="horizon scale factor (smaller = faster, noisier)")
-    bench_parser.add_argument("--seed", type=int, default=42)
-    bench_parser.add_argument(
-        "--dir", default=None, metavar="DIR", dest="artifact_dir",
-        help="artifact directory (default: $REPRO_BENCH_DIR or "
-             "./benchmarks/artifacts)")
-    bench_parser.add_argument(
-        "--compare", action="store_true",
-        help="after recording, compare against the previous run in the "
-             "artifact; exit 1 on a slowdown past --threshold or any "
-             "metrics drift")
-    bench_parser.add_argument(
-        "--threshold", type=float, default=0.2, metavar="FRACTION",
-        help="events/sec slowdown fraction that fails --compare "
-             "(default: 0.2)")
-    add_executor_args(bench_parser)
-
     t1_parser = sub.add_parser(
         "table-t1", help="in-text quantitative claims, paper vs measured")
     t1_parser.add_argument("--seed", type=int, default=42)
@@ -370,52 +341,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(render_executor_stats(executor.stats, jobs=executor.jobs))
     print(f"[{args.system} point in {elapsed:.1f}s]")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Record one bench suite; optionally compare the trajectory."""
-    from repro.bench import (
-        BenchOptions,
-        compare_last,
-        get_suite,
-        list_suites,
-        record_suite,
-        render_comparison,
-    )
-    if args.list_suites:
-        print("bench suites:")
-        for suite in list_suites():
-            print(f"  {suite.name:12s} {suite.description}")
-        print("  system:<name>  single point of one registered system")
-        return 0
-    if args.suite is None:
-        print("repro bench: a suite name is required "
-              "(see 'repro bench --list')", file=sys.stderr)
-        return 2
-    get_suite(args.suite)  # fail fast on unknown suites
-    _apply_sanitize_flag(args)
-    options = BenchOptions(scale=args.scale, seed=args.seed,
-                           jobs=args.jobs, cache_dir=args.cache_dir,
-                           fastpath=args.fastpath,
-                           progress=getattr(args, "progress", False),
-                           max_retries=args.max_retries)
-    run = record_suite(args.suite, options, artifact_dir=args.artifact_dir)
-    record = run.record
-    print(f"bench {record.name}: {record.points} points, "
-          f"{record.events:,} events in {record.wall_s:.2f}s")
-    print(f"  events/sec  {record.events_per_sec:,.0f}")
-    print(f"  points/sec  {record.points_per_sec:,.2f}")
-    print(f"  digest      {record.metrics_digest[:16]}  "
-          f"(runs recorded: {len(run.artifact['runs'])})")
-    print(f"  artifact    {run.path}")
-    if not args.compare:
-        return 0
-    comparison = compare_last(run.artifact, threshold=args.threshold)
-    if comparison is None:
-        print("  first recorded run; nothing to compare against")
-        return 0
-    print(render_comparison(comparison))
-    return 0 if comparison.ok else 1
 
 
 def _make_executor(args: argparse.Namespace,
@@ -637,8 +562,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"(repro lint --list-rules)")
         print(f"  {'race':9s} schedule-permutation fuzzer "
               f"(repro race --permutations N)")
-        print(f"  {'bench':9s} record perf artifacts "
-              f"(repro bench --list)")
         print(f"  {'watch':9s} live scoreboard of a --progress "
               f"--cache-dir sweep")
         return 0
@@ -647,12 +570,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         try:
             return _cmd_run(args)
-        except ReproError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "bench":
-        try:
-            return _cmd_bench(args)
         except ReproError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2

@@ -27,6 +27,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        """Speed is measured by ``perfbench/``; the CLI neither offers
+        nor accepts a ``bench`` subcommand."""
+        assert main(["list"]) == 0
+        assert "bench" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "engine"])
+        assert excinfo.value.code == 2
+
+    def test_invalid_fastpath_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2", "--fastpath", "maybe"])
+        assert excinfo.value.code == 2
+        assert "--fastpath" in capsys.readouterr().err
+
     def test_figure_accepts_scale_and_seed(self, capsys):
         # A tiny figure run through the real code path.
         assert main(["fig4", "--scale", "0.15", "--seed", "5"]) == 0

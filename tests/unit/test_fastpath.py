@@ -15,6 +15,7 @@ from repro.errors import ExperimentError
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
+    make_executor,
     spec_cache_key,
 )
 from repro.experiments.fastpath import (
@@ -26,6 +27,7 @@ from repro.experiments.fastpath import (
     parse_fastpath_mode,
     short_anchor_config,
 )
+from repro.experiments.figures import figure2
 from repro.experiments.harness import RunConfig, run_point_with_events
 from repro.faults.plan import FaultPlan, RecoveryPlan
 from repro.metrics.summary import (
@@ -284,3 +286,34 @@ class TestRouting:
             keys.add(spec_cache_key(keyed))
         assert len(keys) == 4  # every variant hashes differently
         assert None not in keys
+
+
+class TestFigureSweep:
+    @staticmethod
+    def _fig2(mode):
+        """``(metrics, events)`` of a fig2 sweep at scale 0.05."""
+        executor = make_executor(jobs=1)
+        config = RunConfig(seed=42, fastpath=parse_fastpath_mode(mode))
+        figure = figure2(config=config, scale=0.05, executor=executor)
+        metrics = [point.metrics for sweep in figure.sweeps
+                   for point in sweep.points]
+        return metrics, executor.stats.events_executed
+
+    def test_modelled_points_never_count_as_exact(self):
+        """Under ``auto`` every point says how it was obtained: a model
+        point names its method and error bound and is never tagged
+        exact, and the sweep (anchor probes included) runs fewer events
+        than the all-exact one."""
+        approx, approx_events = self._fig2("auto")
+        exact, exact_events = self._fig2("off")
+        assert len(approx) == len(exact) == 18
+        assert all(m.provenance is None for m in exact)
+        assert all(m.provenance is not None for m in approx)
+        modelled = [m.provenance for m in approx if not m.provenance.exact]
+        assert 0 < len(modelled) < len(approx)
+        for prov in modelled:
+            assert prov.kind == "approx"
+            assert prov.method in ("plateau-drain", "subknee-mgk",
+                                   "anchor-scale")
+            assert prov.throughput_error_bound > 0.0
+        assert approx_events < exact_events

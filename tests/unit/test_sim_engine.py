@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
+from repro.sim.primitives import Store
 
 
 @pytest.fixture
@@ -158,3 +159,46 @@ class TestRunGuards:
         sim.run()
         assert not proc.ok
         assert isinstance(proc.value, SimulationError)
+
+
+class TestWorkloadWitnesses:
+    """Event counts, end times and values of three kernel workloads
+    (heap churn, process trampolining, same-instant callback batches),
+    pinned exactly under each kernel."""
+
+    def test_timeout_storm(self, sim):
+        for i in range(20_000):
+            sim.timeout(float(i % 97))
+        sim.run()
+        assert (sim.event_count, sim.now) == (20_000, 96.0)
+
+    def test_store_pingpong(self, sim):
+        n = 4_000
+        store = Store(sim)
+
+        def producer(sim):
+            for i in range(n):
+                yield sim.timeout(1.0)
+                store.put(i)
+
+        def consumer(sim):
+            total = 0
+            for _ in range(n):
+                total += yield store.get()
+            return total
+
+        sim.process(producer(sim))
+        consumer_proc = sim.process(consumer(sim))
+        sim.run()
+        assert (sim.event_count, sim.now, consumer_proc.value) == (
+            12_004, 4_000.0, n * (n - 1) // 2)
+
+    def test_defer_drain_is_fifo_per_instant(self, sim):
+        fired = []
+        for i in range(10_000):
+            sim.defer(float(i % 13), lambda k=i: fired.append(k))
+        sim.run()
+        assert (sim.event_count, sim.now) == (10_000, 12.0)
+        assert len(fired) == 10_000
+        assert (fired[0], fired[-1]) == (0, 9_996)
+        assert fired == sorted(fired, key=lambda k: (k % 13, k))
